@@ -1,14 +1,17 @@
 """Model checking over lasso words and Kripke structures.
 
-Linear-time formulas are evaluated on the finite set of suffix classes of an
-ultimately periodic word.  All sub-formula values are bit vectors (Python
-ints) with one bit per suffix class; temporal operators are resolved by
-backward propagation, iterating twice around the loop, which is enough for a
-least fixpoint on a single cycle.
+All sub-formula values are bit vectors (Python ints) with one bit per
+position: a suffix class of an ultimately periodic word, or a state of a
+structure.  Both domains share one trusted core: each supplies its pre-image
+EX, and EU and EG are the least and greatest fixpoints over it, iterated on
+whole vectors.  Every other temporal operator is rewritten to these three
+through its defining identity.
 
-Branching-time formulas are evaluated by labelling states, with EX, EU and EG
-as the trusted core; every other quantified operator is rewritten to these
-three through its defining identity.
+A lasso word is the deterministic Kripke structure with one successor per
+suffix class, so its EX is X: one right shift within the words, plus one
+left shift per distinct period length that carries each loop start onto the
+last class of its word.  For structures, EX labels the states that have a
+successor in the argument.
 """
 
 from __future__ import annotations
@@ -22,114 +25,99 @@ from .formulas import (
 from .models import CTL, LTL, KripkeStructure, Sample, Word
 
 
-class LtlDomain:
+class _Fixpoints:
+    """The fixpoint core that every temporal operator is rewritten to.
+
+    A domain supplies its pre-image `v_ex(a)`, the vector of the positions
+    with a successor in `a`; `EU` and `EG` are then its least and greatest
+    fixpoints, iterated on whole vectors.
+    """
+
+    def v_eu(self, a: int, b: int) -> int:
+        """E (a U b): the least fixpoint of z = b | (a & EX z)."""
+        ex = self.v_ex
+        z = b
+        while True:
+            nz = z | (a & ex(z))
+            if nz == z:
+                return z
+            z = nz
+
+    def v_eg(self, a: int) -> int:
+        """EG a: the greatest fixpoint of z = a & EX z."""
+        ex = self.v_ex
+        z = a
+        while True:
+            nz = a & ex(z)
+            if nz == z:
+                return z
+            z = nz
+
+
+class LtlDomain(_Fixpoints):
     """A fixed tuple of words over which formula vectors are computed.
 
-    Bit `offset(w) + c` of a vector is the value at suffix class `c` of word
-    `w`.  The domain exposes the per-operator vector transformers so that
+    Bit `start_bits[w] + c` of a vector is the value at suffix class `c` of
+    word `w`.  The domain exposes the per-operator vector transformers so that
     callers (the checker, the learner) can build vectors bottom-up.
     """
 
     def __init__(self, words):
         self.words = tuple(words)
-        self.word_layout = []  # (offset, length, global loop start)
+        self.start_bits = []
+        body = 0  # every class except the last one of each word
+        loop_starts: dict = {}  # period length -> loop-start bits
         offset = 0
         for w in self.words:
-            self.word_layout.append((offset, w.length, offset + w.loop_start))
+            self.start_bits.append(offset)
+            body |= ((1 << (w.length - 1)) - 1) << offset
+            p = len(w.period)
+            loop_starts[p] = loop_starts.get(p, 0) | 1 << (offset + w.loop_start)
             offset += w.length
         self.size = offset
         self.full = (1 << offset) - 1
-        self.start_bits = [off for off, _, _ in self.word_layout]
-        self._x_parts = []
-        self._loop_masks = []
-        for off, length, gls in self.word_layout:
-            body = 0
-            for i in range(off, off + length - 1):
-                body |= 1 << i
-            self._x_parts.append((body, off + length - 1, gls))
-            loop_mask = 0
-            for i in range(gls, off + length):
-                loop_mask |= 1 << i
-            self._loop_masks.append(loop_mask)
+        self._body = body
+        # A loop start shifted by its period length - 1 lands on the last
+        # class of its word, whose successor it is.
+        self._loops = tuple((mask, p - 1) for p, mask in loop_starts.items())
 
     def prop_vector(self, name: str) -> int:
         v = 0
-        for (off, length, _), w in zip(self.word_layout, self.words):
-            for c in range(length):
+        for off, w in zip(self.start_bits, self.words):
+            for c in range(w.length):
                 if name in w.letter_at(c):
                     v |= 1 << (off + c)
         return v
 
     # -- vector transformers -------------------------------------------------
 
-    def v_not(self, a: int) -> int:
-        return self.full ^ a
-
-    def v_next(self, a: int) -> int:
-        r = 0
-        for body, last, gls in self._x_parts:
-            r |= (a >> 1) & body
-            if (a >> gls) & 1:
-                r |= 1 << last
-        return r
-
-    def v_eventually(self, a: int) -> int:
-        r = 0
-        for (off, _, gls), loop_mask in zip(self.word_layout, self._loop_masks):
-            acc = bool(a & loop_mask)
-            if acc:
-                r |= loop_mask
-            for i in range(gls - 1, off - 1, -1):
-                acc = acc or bool((a >> i) & 1)
-                if acc:
-                    r |= 1 << i
-        return r
-
-    def v_always(self, a: int) -> int:
-        r = 0
-        for (off, _, gls), loop_mask in zip(self.word_layout, self._loop_masks):
-            acc = (a & loop_mask) == loop_mask
-            if acc:
-                r |= loop_mask
-            for i in range(gls - 1, off - 1, -1):
-                acc = acc and bool((a >> i) & 1)
-                if acc:
-                    r |= 1 << i
+    def v_ex(self, a: int) -> int:
+        """X a: a lasso is a Kripke structure with one successor per class."""
+        r = (a >> 1) & self._body
+        for mask, shift in self._loops:
+            r |= (a & mask) << shift
         return r
 
     def v_until(self, a: int, b: int) -> int:
-        r = 0
-        for off, length, gls in self.word_layout:
-            last = off + length - 1
-            cur = 0
-            for _ in range(2):  # two sweeps settle the loop fixpoint
-                for i in range(last, gls - 1, -1):
-                    nxt = i + 1 if i < last else gls
-                    if (b >> i) & 1 or (((a >> i) & 1) and ((cur >> nxt) & 1)):
-                        cur |= 1 << i
-            for i in range(gls - 1, off - 1, -1):
-                if (b >> i) & 1 or (((a >> i) & 1) and ((cur >> (i + 1)) & 1)):
-                    cur |= 1 << i
-            r |= cur
-        return r
+        return self.v_eu(a, b)
 
     def v_release(self, a: int, b: int) -> int:
-        return self.full ^ self.v_until(self.full ^ a, self.full ^ b)
+        return self.full ^ self.v_eu(self.full ^ a, self.full ^ b)
 
     def v_weak_until(self, a: int, b: int) -> int:
-        return self.v_until(a, b) | self.v_always(a)
+        return self.v_eu(a, b) | self.v_eg(a)
 
     def v_strong_release(self, a: int, b: int) -> int:
-        return self.v_release(a, b) & self.v_eventually(a)
+        return self.v_release(a, b) & self.v_eu(self.full, a)
 
     def unary(self, op: str, a: int) -> int:
         if op == NOT:
             return self.full ^ a
         if op == NEXT:
-            return self.v_next(a)
+            return self.v_ex(a)
         if op == EVENTUALLY:
-            return self.v_eventually(a)
-        return self.v_always(a)
+            return self.v_eu(self.full, a)
+        return self.v_eg(a)
 
     def binary(self, op: str, a: int, b: int) -> int:
         if op == AND:
@@ -141,7 +129,7 @@ class LtlDomain:
         if op == IFF:
             return self.full ^ (a ^ b)
         if op == UNTIL:
-            return self.v_until(a, b)
+            return self.v_eu(a, b)
         if op == RELEASE:
             return self.v_release(a, b)
         if op == WEAK_UNTIL:
@@ -169,7 +157,7 @@ class LtlDomain:
         return go(f)
 
 
-class CtlDomain:
+class CtlDomain(_Fixpoints):
     """A fixed tuple of structures; vectors carry one bit per state."""
 
     def __init__(self, structures):
@@ -204,30 +192,12 @@ class CtlDomain:
                 bit += 1
         return v
 
-    # -- trusted core --------------------------------------------------------
-
     def v_ex(self, s: int) -> int:
         r = 0
         for i in self._all_states:
             if self.succ[i] & s:
                 r |= 1 << i
         return r
-
-    def v_eu(self, a: int, b: int) -> int:
-        z = b
-        while True:
-            nz = z | (a & self.v_ex(z))
-            if nz == z:
-                return z
-            z = nz
-
-    def v_eg(self, a: int) -> int:
-        z = a
-        while True:
-            nz = a & self.v_ex(z)
-            if nz == z:
-                return z
-            z = nz
 
     # -- derived operators, rewritten to the core ----------------------------
 

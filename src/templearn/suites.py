@@ -30,9 +30,9 @@ the oracles behind ``templearn verify-properties`` and the acceptance tests:
   of a CNF agrees with learnability of its sample encoding, and every
   learned witness yields a satisfying assignment.
 
-* :func:`run_lasso_oracle_equivalence` — the loop-accelerated word checker
-  agrees with the bounded-window naive evaluator on random formula/word
-  pairs at every position.
+* :func:`run_lasso_oracle_equivalence` — the bit-vector word checker
+  (shift-based X, shared EU/EG fixpoints) agrees with the bounded-window
+  naive evaluator on random formula/word pairs at every position.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from .formulas import (
     ALWAYS, AND, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
     STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    BINARY_OPS, LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS,
+    TEMPORAL_UNARY_OPS, UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
     LtlUnary, OperatorSet, Prop, print_formula,
 )
@@ -556,7 +558,8 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
     rng = random.Random(seed)
     sampled = 0
     for _ in range(sample_count):
-        f = _random_ctl_formula(rng, props, sample_max_size)
+        f = _random_formula(rng, props, sample_max_size, _ctl_unary,
+                            _ctl_binary)
         sampled += 1
         stripped = strip_quantifiers(f)
         for w, m in zip(words, structures):
@@ -601,30 +604,52 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
     )
 
 
-_CTL_QUANT_UNARY = tuple((q, op) for q in ("E", "A")
-                         for op in (NEXT, EVENTUALLY, ALWAYS))
-_CTL_QUANT_BINARY = tuple((q, op) for q in ("E", "A")
-                          for op in (UNTIL, RELEASE, WEAK_UNTIL,
-                                     STRONG_RELEASE))
+_CTL_QUANT_UNARY = tuple((q, op) for q in QUANTIFIERS
+                         for op in TEMPORAL_UNARY_OPS)
+_CTL_QUANT_BINARY = tuple((q, op) for q in QUANTIFIERS
+                          for op in TEMPORAL_BINARY_OPS)
 
 
-def _random_ctl_formula(rng, props, budget: int):
-    """A random branching-time formula with at most `budget` tree nodes."""
+def _random_formula(rng, props, budget: int, unary, binary):
+    """A random formula with at most `budget` tree nodes.
+
+    `unary(rng, child)` and `binary(rng, left, right)` draw one operator of
+    the logic and apply it.  The operands come as thunks, so each logic keeps
+    its own order of draws, and with it the formulas a seed yields.
+    """
+    def sub(b):
+        return lambda: _random_formula(rng, props, b, unary, binary)
+
     if budget <= 1 or rng.random() < 0.25:
         return Prop(rng.choice(props))
     if budget == 2 or rng.random() < 0.4:
-        child = _random_ctl_formula(rng, props, budget - 1)
-        if rng.random() < 0.4:
-            return CtlNot(child)
-        quant, op = rng.choice(_CTL_QUANT_UNARY)
-        return CtlQuantUnary(quant, op, child)
+        return unary(rng, sub(budget - 1))
     lbud = rng.randint(1, budget - 2)
-    left = _random_ctl_formula(rng, props, lbud)
-    right = _random_ctl_formula(rng, props, budget - 1 - lbud)
+    return binary(rng, sub(lbud), sub(budget - 1 - lbud))
+
+
+def _ltl_unary(rng, child):
+    return LtlUnary(rng.choice(UNARY_OPS), child())
+
+
+def _ltl_binary(rng, left, right):
+    return LtlBinary(rng.choice(BINARY_OPS), left(), right())
+
+
+def _ctl_unary(rng, child):
+    c = child()
+    if rng.random() < 0.4:
+        return CtlNot(c)
+    quant, op = rng.choice(_CTL_QUANT_UNARY)
+    return CtlQuantUnary(quant, op, c)
+
+
+def _ctl_binary(rng, left, right):
+    lhs, rhs = left(), right()
     if rng.random() < 0.5:
-        return CtlBinary(rng.choice((AND, OR, IMPLIES, IFF)), left, right)
+        return CtlBinary(rng.choice(LOGICAL_BINARY_OPS), lhs, rhs)
     quant, op = rng.choice(_CTL_QUANT_BINARY)
-    return CtlQuantBinary(quant, op, left, right)
+    return CtlQuantBinary(quant, op, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -774,23 +799,6 @@ def run_ctl_round_trip(instances, ltl_decisions=None,
 # Lasso checker vs bounded-window naive evaluator
 # ---------------------------------------------------------------------------
 
-_LTL_UNARY_POOL = (NOT, NEXT, EVENTUALLY, ALWAYS)
-_LTL_BINARY_POOL = (AND, OR, IMPLIES, IFF, UNTIL, RELEASE, WEAK_UNTIL,
-                    STRONG_RELEASE)
-
-
-def _random_ltl_formula(rng, props, budget: int):
-    if budget <= 1 or rng.random() < 0.25:
-        return Prop(rng.choice(props))
-    if budget == 2 or rng.random() < 0.4:
-        return LtlUnary(rng.choice(_LTL_UNARY_POOL),
-                        _random_ltl_formula(rng, props, budget - 1))
-    lbud = rng.randint(1, budget - 2)
-    return LtlBinary(rng.choice(_LTL_BINARY_POOL),
-                     _random_ltl_formula(rng, props, lbud),
-                     _random_ltl_formula(rng, props, budget - 1 - lbud))
-
-
 def _random_word(rng, props, max_length: int):
     letters = single_letters(props)
     total = rng.randint(1, max_length)
@@ -802,14 +810,15 @@ def _random_word(rng, props, max_length: int):
 def run_lasso_oracle_equivalence(pairs: int = 10000, seed: int = 0,
                                  props=("p", "q"), max_formula_size: int = 5,
                                  max_word_length: int = 4) -> SuiteResult:
-    """The loop-accelerated checker agrees with the bounded-window naive
+    """The bit-vector checker agrees with the bounded-window naive
     evaluator on random formula/word pairs, at every position."""
     start = time.time()
     rng = random.Random(seed)
     bad = _Violations()
     positions = 0
     for _ in range(pairs):
-        f = _random_ltl_formula(rng, props, max_formula_size)
+        f = _random_formula(rng, props, max_formula_size, _ltl_unary,
+                            _ltl_binary)
         w = _random_word(rng, props, max_word_length)
         vector = satisfaction_vector(f, w)
         for i in range(w.length):

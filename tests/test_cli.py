@@ -297,6 +297,15 @@ class TestTopLevel:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("templearn ")
 
+    def test_module_runs_the_cli(self):
+        package_dir = Path(templearn.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "templearn", "--version"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(package_dir)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == f"templearn {templearn.__version__}"
+
     def test_console_script_is_installed(self):
         # The launcher contract is checked from pyproject.toml and the
         # imported package, so it holds in a source checkout run from

@@ -8,7 +8,7 @@ from templearn import (
     KripkeStructure, Sample, Word, check_ctl, check_ltl, check_separating,
     naive_check_ltl, parse_ctl, parse_ltl, satisfaction_vector,
 )
-from templearn.semantics import satisfying_states
+from templearn.semantics import LtlDomain, satisfying_states
 
 
 def word(text):
@@ -146,6 +146,29 @@ class TestNaiveOracle:
             for pos in range(w.length + 2):
                 expected = satisfaction_vector(f, w)[w.suffix_class(pos)]
                 assert naive_check_ltl(f, w, pos) == expected, (str(f), str(w), pos)
+
+
+class TestMultiWordDomain:
+    """Words of different period lengths share one domain, and with it the
+    shifts that carry each loop start to the last class of its word."""
+
+    def test_each_word_slice_matches_its_own_evaluation(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            words = [random_word(rng, ["p", "q"])
+                     for _ in range(rng.randint(1, 12))]
+            domain = LtlDomain(words)
+            for _ in range(5):
+                f = random_ltl(rng, ["p", "q"], 4)
+                v = domain.evaluate(f)
+                for off, w in zip(domain.start_bits, words):
+                    expected = satisfaction_vector(f, w)
+                    got = tuple(bool(v >> (off + i) & 1)
+                                for i in range(w.length))
+                    assert got == expected, (str(f), str(w), off)
+                    for i in range(w.length):
+                        assert naive_check_ltl(f, w, i) == got[i], (
+                            str(f), str(w), i)
 
 
 def two_state():

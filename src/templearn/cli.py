@@ -4,7 +4,8 @@ Subcommands: ``check``, ``learn``, ``reduce sat2ltl``, ``reduce ltl2ctl``,
 ``normalize``, ``translate``, ``extract``, ``verify-properties``.
 
 Exit codes: 0 success; 1 domain error (unreadable/invalid input); 2 usage
-error; 3 ``learn`` decided no formula exists; 4 a property suite failed.
+error; 3 ``learn`` found no formula within the bound (a proof that none
+exists only with ``--no-dedup``); 4 a property suite failed.
 
 Every command supports ``--json``, which emits one JSON report with stable
 key order.  Timing lives under the separate ``"timing"`` key (and in
@@ -167,7 +168,9 @@ def _cmd_check(args) -> int:
         separating = check_separating(formula, sample)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    assert separating == ok
+    if separating != ok:
+        raise RuntimeError("internal error: the per-example verdicts "
+                           "disagree with the separation check")
     report.data["outcome"]["verdicts"] = verdicts
     report.field("separating", separating,
                  f"separating: {_text_value(separating)}")
@@ -206,7 +209,9 @@ def _cmd_learn(args) -> int:
         report.field("witness", print_formula(outcome.witness),
                      f"witness: {print_formula(outcome.witness)}")
         report.field("size", outcome.size, f"size: {outcome.size}")
-        assert verify(outcome.witness, sample, config)
+        if not verify(outcome.witness, sample, config):
+            raise RuntimeError("internal error: the learned witness failed "
+                               "verification")
     stats = dict(outcome.stats)
     elapsed = stats.pop("elapsed_seconds", None)
     for name in sorted(stats):

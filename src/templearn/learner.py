@@ -2,10 +2,11 @@
 
 The search enumerates candidate formulas bottom-up by *closure size*: the
 cost of a candidate is the number of distinct sub-formulas it contains (DAG
-size), not its tree node count.  Each registered candidate keeps the frozen
-set of ids of its distinct sub-formulas; applying a binary operator to
-candidates costs `|closure(left) ∪ closure(right)| + 1`, which is how shared
-sub-formulas make large trees cheap.
+size), not its tree node count.  Each registered candidate keeps the bitset
+(a Python int) of the ids of its proper sub-formulas; its closure is that
+bitset plus its own id.  Applying a binary operator to candidates costs
+`|closure(left) ∪ closure(right)| + 1`, one popcount of an OR, which is how
+shared sub-formulas make large trees cheap.
 
 Candidates are produced in nondecreasing cost through three schedules that
 jointly cover every operator application exactly once:
@@ -15,6 +16,16 @@ jointly cover every operator application exactly once:
   the containing side's closure (cost + 1, since the union adds nothing);
 * incomparable pairs — scheduled when the younger operand is registered, at
   the exact layer `|union| + 1`.
+
+Candidates of exactly the bound are never registered, yet they are most of
+the search.  Each registration hands its share of them over at once, as
+lists of operand ids; the search composes one operator at a time over a
+whole list in one comprehension (boolean connectives inline, temporal
+operators through the domain's own methods), adds every signature to the
+distinct set in one update, and screens them with the positive-example mask
+before the full separation test.  The lower layers stay one candidate at a
+time, because their order decides which of several same-signature
+candidates is kept.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -38,10 +49,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache, partial
+from operator import and_, or_, xor
 
 from .formulas import (
     ALWAYS, AND, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
     STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
+    UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
     LtlUnary, OperatorSet, Prop, conforms, is_ctl, is_ltl, size,
     structural_key,
@@ -86,33 +101,51 @@ class LearnOutcome:
     stats: dict = field(compare=False, default_factory=dict)
 
 
+def _bit_ids(bits: int) -> list:
+    """The positions of the set bits of `bits`, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class ClosureEnumeration:
     """Layered generation of all operator applications over a seed set.
 
-    Every candidate is reported through ``visit(cost, opcode, left, right,
-    payload)``; a True return registers it (assigning the next dense id, so
-    it can be used as an operand later).  Seeds are visited with opcode -1
-    and ``left`` = seed index.  Payloads are composed by ``compose(opcode,
-    a, b)`` with ``b`` None for unary opcodes (opcodes below ``n_unary``).
+    Every candidate below ``max_size`` is reported through ``visit(cost,
+    opcode, left, right, payload)``; a True return registers it (assigning
+    the next dense id, so it can be used as an operand later).  Seeds are
+    visited with opcode -1 and ``left`` = seed index.  Payloads are composed
+    by ``compose(opcode, a, b)`` with ``b`` None for unary opcodes (opcodes
+    below ``n_unary``).  ``closures[i]`` is the bitset of the ids of the
+    proper sub-formulas of candidate ``i``.
 
-    ``run()`` yields each completed cost layer.  Candidates of exactly
-    ``max_size`` are never registered; with ``eager_top`` (the default) they
-    are visited the moment they are scheduled, out of cost order, which
-    avoids materializing the final — by far the largest — layer.  Setting
-    ``stop_expansion`` suppresses all further scheduling; already-scheduled
-    candidates are still visited.
+    Candidates of exactly ``max_size`` are never registered.  They form the
+    final and by far the largest layer, so they are not materialized one by
+    one: each registration hands its share of them to ``visit_top(nid,
+    unary, rights, lefts)`` in one call, the moment they are scheduled and
+    out of cost order.  The share is every unary opcode applied to ``nid``
+    when ``unary`` is set, and for every binary opcode the pairs ``(nid,
+    d)`` for ``d`` in ``rights`` and ``(d, nid)`` for ``d`` in ``lefts``;
+    ``lefts`` is ``rights`` or, when that ends with ``nid`` itself,
+    ``rights[:-1]``.  :meth:`top_triples` lists a share in schedule order.
+
+    ``run()`` yields each completed cost layer.  Setting ``stop_expansion``
+    suppresses all further scheduling; already-scheduled candidates are
+    still visited.
     """
 
     def __init__(self, seed_payloads, n_unary, n_binary, max_size, compose,
-                 visit, on_register=None, eager_top=True):
+                 visit, visit_top):
         self.seed_payloads = list(seed_payloads)
         self.n_unary = n_unary
         self.n_ops = n_unary + n_binary
         self.max_size = max_size
         self.compose = compose
         self.visit = visit
-        self.on_register = on_register
-        self.eager_top = eager_top
+        self.visit_top = visit_top
         self.stop_expansion = False
         self.current_cost = 0
         self.generated = 0
@@ -121,18 +154,19 @@ class ClosureEnumeration:
         self.costs: list = []
         self.builds: list = []  # (opcode, left, right); seeds (-1, index, -1)
         self._pairable: list = []
+        self._pairable_closures: list = []  # each including the id itself
         self._buckets: list = []
 
     def run(self):
         ms = self.max_size
         if ms < 1:
             return
-        self._buckets = [[] for _ in range(ms + 1)]
+        self._buckets = [[] for _ in range(ms + 1)]  # the last stays empty
         self.current_cost = 1
         for idx, payload in enumerate(self.seed_payloads):
             self.generated += 1
             if self.visit(1, -1, idx, -1, payload):
-                self._register(-1, idx, -1, payload, frozenset(), 1)
+                self._register(-1, idx, -1, payload, 0, 1)
         yield 1
         payloads = self.payloads
         closures = self.closures
@@ -142,56 +176,69 @@ class ClosureEnumeration:
                 payload = self.compose(opcode, payloads[left],
                                        None if right < 0 else payloads[right])
                 self.generated += 1
-                if self.visit(cost, opcode, left, right, payload) and cost < ms:
-                    union = (closures[left] if right < 0
-                             else closures[left] | closures[right])
+                if self.visit(cost, opcode, left, right, payload):
+                    union = closures[left] | 1 << left
+                    if right >= 0:
+                        union |= closures[right] | 1 << right
                     self._register(opcode, left, right, payload, union, cost)
             self._buckets[cost] = None
             yield cost
 
     def _register(self, opcode, left, right, payload, union, cost):
         nid = len(self.payloads)
-        closure = union | {nid}
         self.payloads.append(payload)
-        self.closures.append(closure)
+        self.closures.append(union)
         self.costs.append(cost)
         self.builds.append((opcode, left, right))
-        if self.on_register is not None:
-            self.on_register(nid)
-        if self.stop_expansion:
-            return
         ms = self.max_size
-        if cost + 1 <= ms:
-            for op in range(self.n_unary):
-                self._emit(op, nid, -1, cost + 1)
-            if self.n_ops > self.n_unary:
-                for d in sorted(closure):
-                    for op in range(self.n_unary, self.n_ops):
-                        self._emit(op, nid, d, cost + 1)
-                        if d != nid:
-                            self._emit(op, d, nid, cost + 1)
-        if self.n_ops > self.n_unary and cost <= ms - 2:
-            closures = self.closures
-            for g in self._pairable:
-                if g in closure:
-                    continue
-                target = len(closure | closures[g]) + 1
-                if target <= ms:
-                    for op in range(self.n_unary, self.n_ops):
-                        self._emit(op, nid, g, target)
-                        self._emit(op, g, nid, target)
-            self._pairable.append(nid)
-
-    def _emit(self, opcode, left, right, target):
-        if self.stop_expansion:
+        if self.stop_expansion or cost == ms:
             return
-        if target == self.max_size and self.eager_top:
-            payload = self.compose(opcode, self.payloads[left],
-                                   None if right < 0 else self.payloads[right])
-            self.generated += 1
-            self.visit(target, opcode, left, right, payload)
-        else:
-            self._buckets[target].append((opcode, left, right))
+        binary = range(self.n_unary, self.n_ops)
+        subs = _bit_ids(union) if binary else []
+        if cost == ms - 1:
+            # Every application to this candidate reaches the final layer.
+            if binary:
+                subs.append(nid)
+            self.generated += self.n_unary + len(binary) * (2 * len(subs) - 1)
+            self.visit_top(nid, True, subs, subs[:-1])
+            return
+        bucket = self._buckets[cost + 1]
+        bucket += [(op, nid, -1) for op in range(self.n_unary)]
+        if not binary:
+            return
+        bucket += [t for d in subs for op in binary
+                   for t in ((op, nid, d), (op, d, nid))]
+        bucket += [(op, nid, nid) for op in binary]
+        # Pairs with an earlier candidate outside this one's closure cost
+        # their union's size plus one; the union has this closure's own
+        # size exactly when the partner lies inside the closure.
+        closure = union | 1 << nid
+        counts = [(closure | c).bit_count() for c in self._pairable_closures]
+        pairable = self._pairable
+        if cost < ms - 2:  # else every union reaches the final layer
+            for g, k in zip(pairable, counts):
+                if cost < k < ms - 1:
+                    self._buckets[k + 1] += [t for op in binary for t in
+                                             ((op, nid, g), (op, g, nid))]
+        top = [g for g, k in zip(pairable, counts) if k == ms - 1]
+        if top:
+            self.generated += 2 * len(binary) * len(top)
+            self.visit_top(nid, False, top, top)
+        pairable.append(nid)
+        self._pairable_closures.append(closure)
+
+    def top_triples(self, nid, unary, rights, lefts):
+        """The (opcode, left, right) triples of one ``visit_top`` share, in
+        the order they were scheduled."""
+        if unary:
+            for op in range(self.n_unary):
+                yield op, nid, -1
+        binary = range(self.n_unary, self.n_ops)
+        for j, d in enumerate(rights):
+            for op in binary:
+                yield op, nid, d
+                if j < len(lefts):
+                    yield op, d, nid
 
     def build_formula(self, triple, seed_builder, op_builders) -> Formula:
         """Reconstruct the AST for a visit triple (opcode, left, right)."""
@@ -200,156 +247,147 @@ class ClosureEnumeration:
         def of_id(i):
             node = memo.get(i)
             if node is None:
-                opcode, a, b = self.builds[i]
-                if opcode < 0:
-                    node = seed_builder(a)
-                else:
-                    node = op_builders[opcode](of_id(a),
-                                               of_id(b) if b >= 0 else None)
+                node = of_triple(self.builds[i])
                 memo[i] = node
             return node
 
-        opcode, left, right = triple
-        if opcode < 0:
-            return seed_builder(left)
-        return op_builders[opcode](of_id(left),
-                                   of_id(right) if right >= 0 else None)
+        def of_triple(build):
+            opcode, a, b = build
+            if opcode < 0:
+                return seed_builder(a)
+            if b < 0:
+                return op_builders[opcode](of_id(a))
+            return op_builders[opcode](of_id(a), of_id(b))
+
+        return of_triple(triple)
 
 
-_LTL_UNARY_ORDER = (NOT, NEXT, EVENTUALLY, ALWAYS)
-_LTL_BINARY_ORDER = (AND, OR, IMPLIES, IFF, UNTIL, RELEASE, WEAK_UNTIL,
-                     STRONG_RELEASE)
-_TEMPORAL_UNARY = (NEXT, EVENTUALLY, ALWAYS)
-_QUANT_ORDER = ("E", "A")
+@lru_cache(maxsize=None)
+def _op_table(logic: str, operators: OperatorSet, skip_trivial: bool):
+    """The operator rows of the candidate space, unary and binary.
 
-
-def _ltl_op_tables(operators: OperatorSet, domain, skip_trivial: bool):
-    """Composition and construction tables for the LTL candidate space.
-
-    With `skip_trivial` (all words single-letter, SEMANTIC mode) the
-    temporal operators whose single-letter reduct is always generated
+    A row is ``(token, quantifier)``, the quantifier None except on the
+    path-quantified operators of CTL.  Rows follow the fixed operator order,
+    existential before universal; a row's index is its opcode, unary rows
+    first.  With `skip_trivial` (all examples single-letter, SEMANTIC mode)
+    the temporal operators whose single-letter reduct is always generated
     anyway are omitted: X/F/G/U/R collapse to a sub-formula, W to the
-    disjunction and M to the conjunction of its operands — so W and M are
+    disjunction and M to the conjunction of its operands -- so W and M are
     only skipped when that reduct's connective is itself allowed.
     """
-    unary, binary = [], []
-    for op in _LTL_UNARY_ORDER:
-        if op not in operators.unary:
-            continue
-        if skip_trivial and op != NOT:
-            continue
-        unary.append((
-            (lambda a, b, op=op: domain.unary(op, a)) if domain else None,
-            lambda a, b, op=op: LtlUnary(op, a),
-        ))
-    for op in _LTL_BINARY_ORDER:
-        if op not in operators.binary:
-            continue
-        if skip_trivial:
-            if op in (UNTIL, RELEASE):
-                continue
-            if op == WEAK_UNTIL and OR in operators.binary:
-                continue
-            if op == STRONG_RELEASE and AND in operators.binary:
-                continue
-        binary.append((
-            (lambda a, b, op=op: domain.binary(op, a, b)) if domain else None,
-            lambda a, b, op=op: LtlBinary(op, a, b),
-        ))
+    quants = ((None,) if logic == LTL else
+              tuple(q for q in QUANTIFIERS if q in operators.quantifiers))
+    unary = ((NOT, None),) if NOT in operators.unary else ()
+    binary = tuple((op, None) for op in LOGICAL_BINARY_OPS
+                   if op in operators.binary)
+    if skip_trivial:
+        reduced = {UNTIL, RELEASE}
+        if OR in operators.binary:
+            reduced.add(WEAK_UNTIL)
+        if AND in operators.binary:
+            reduced.add(STRONG_RELEASE)
+    else:
+        reduced = set()
+        unary += tuple((op, q) for op in TEMPORAL_UNARY_OPS
+                       if op in operators.unary for q in quants)
+    binary += tuple((op, q) for op in TEMPORAL_BINARY_OPS
+                    if op in operators.binary and op not in reduced
+                    for q in quants)
     return unary, binary
 
 
-def _ctl_op_tables(operators: OperatorSet, domain, skip_trivial: bool):
-    """As `_ltl_op_tables`, over the quantified operator space."""
-    unary, binary = [], []
-    if NOT in operators.unary:
-        unary.append((
-            (lambda a, b: domain.full ^ a) if domain else None,
-            lambda a, b: CtlNot(a),
-        ))
-    quants = [q for q in _QUANT_ORDER if q in operators.quantifiers]
-    if not skip_trivial:
-        for op in _TEMPORAL_UNARY:
-            if op not in operators.unary:
-                continue
-            for q in quants:
-                unary.append((
-                    (lambda a, b, q=q, op=op: domain.quant_unary(q, op, a))
-                    if domain else None,
-                    lambda a, b, q=q, op=op: CtlQuantUnary(q, op, a),
-                ))
-    for op in (AND, OR, IMPLIES, IFF):
-        if op not in operators.binary:
-            continue
-        binary.append((
-            (lambda a, b, op=op: domain.binary(op, a, b)) if domain else None,
-            lambda a, b, op=op: CtlBinary(op, a, b),
-        ))
-    for op in (UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE):
-        if op not in operators.binary:
-            continue
-        if skip_trivial:
-            if op in (UNTIL, RELEASE):
-                continue
-            if op == WEAK_UNTIL and OR in operators.binary:
-                continue
-            if op == STRONG_RELEASE and AND in operators.binary:
-                continue
-        for q in quants:
-            binary.append((
-                (lambda a, b, q=q, op=op: domain.quant_binary(q, op, a, b))
-                if domain else None,
-                lambda a, b, q=q, op=op: CtlQuantBinary(q, op, a, b),
-            ))
-    return unary, binary
+@lru_cache(maxsize=None)
+def _builder(logic: str, token: str, quantifier):
+    """The AST constructor of an operator row."""
+    if logic == LTL:
+        return partial(LtlUnary if token in UNARY_OPS else LtlBinary, token)
+    if quantifier is not None:
+        return partial(CtlQuantUnary if token in UNARY_OPS else CtlQuantBinary,
+                       quantifier, token)
+    return CtlNot if token == NOT else partial(CtlBinary, token)
+
+
+_LTL_TEMPORAL = {NEXT: "v_ex", ALWAYS: "v_eg", UNTIL: "v_until",
+                 RELEASE: "v_release", WEAK_UNTIL: "v_weak_until",
+                 STRONG_RELEASE: "v_strong_release"}
+
+
+def _vector_fn(domain, token: str, quantifier):
+    """The vector function of an operator row over `domain`."""
+    full = domain.full
+    if quantifier is not None:
+        fn = domain.quant_unary if token in UNARY_OPS else domain.quant_binary
+        return partial(fn, quantifier, token)
+    if token == NOT:
+        return partial(xor, full)
+    if token == AND:
+        return and_
+    if token == OR:
+        return or_
+    if token == IMPLIES:
+        return lambda a, b: (full ^ a) | b
+    if token == IFF:
+        return lambda a, b: full ^ (a ^ b)
+    if token == EVENTUALLY:
+        return partial(domain.v_eu, full)
+    return getattr(domain, _LTL_TEMPORAL[token])
 
 
 def _build_domain(sample: Sample):
-    """Evaluation domain, separating-signature test, and triviality flag."""
+    """Evaluation domain, positive-example mask, screen, separating-signature
+    test, and triviality flag.
+
+    A separating signature `sig` has `sig & screen == pos_mask`: it holds at
+    the start of every positive example and misses the one start position
+    of every negative example that has only one.  For lassos, and for
+    structures with one initial state each, that is the whole test.
+    """
+    examples = sample.positives + sample.negatives
     if sample.logic == LTL:
-        domain = LtlDomain(sample.positives + sample.negatives)
-        pos_mask = 0
-        for i in range(len(sample.positives)):
-            pos_mask |= 1 << domain.start_bits[i]
-        neg_mask = 0
-        for i in range(len(sample.positives), len(domain.words)):
-            neg_mask |= 1 << domain.start_bits[i]
-
-        def is_separating(sig: int) -> bool:
-            return sig & pos_mask == pos_mask and not sig & neg_mask
-
+        domain = LtlDomain(examples)
+        starts = [1 << bit for bit in domain.start_bits]
         trivial = all(w.length == 1 for w in domain.words)
-        return domain, is_separating, trivial
-
-    domain = CtlDomain(sample.positives + sample.negatives)
+    else:
+        domain = CtlDomain(examples)
+        starts = domain.init_masks
+        trivial = all(len(m.states) == 1 for m in domain.structures)
     n_pos = len(sample.positives)
     pos_mask = 0
-    for m in domain.init_masks[:n_pos]:
+    for m in starts[:n_pos]:
         pos_mask |= m
-    neg_masks = tuple(domain.init_masks[n_pos:])
+    screen = pos_mask
+    wide = []  # negative examples with several initial states
+    for m in starts[n_pos:]:
+        if m & (m - 1):
+            wide.append(m)
+        else:
+            screen |= m
 
     def is_separating(sig: int) -> bool:
-        if sig & pos_mask != pos_mask:
-            return False
-        return all(sig & m != m for m in neg_masks)
+        return (sig & screen == pos_mask
+                and all(sig & m != m for m in wide))
 
-    trivial = all(len(m.states) == 1 for m in domain.structures)
-    return domain, is_separating, trivial
+    return domain, pos_mask, screen, is_separating, trivial
 
 
-def _run_search(names, domain, ops, is_separating, bound, semantic,
-                winners_at=None):
+def _run_search(names, domain, rows, pos_mask, screen, is_separating,
+                bound, semantic, winners_at=None):
     """One enumeration pass; returns (winning cost, build triples, stats).
 
     `winners_at=None` stops at the first (hence minimal) layer containing a
     separating candidate; an integer restricts collection to that exact cost
     and exhausts the whole space (used for exact-size decisions).
     """
-    unary_ops, binary_ops = ops
-    compose_fns = [fn for fn, _ in unary_ops] + [fn for fn, _ in binary_ops]
+    unary_rows, binary_rows = rows
+    n_unary = len(unary_rows)
+    fns = [_vector_fn(domain, *row) for row in unary_rows + binary_rows]
+    unary_fns = fns[:n_unary]
+    binary_fns = [(token, fn) for (token, _), fn
+                  in zip(binary_rows, fns[n_unary:])]
+    full = domain.full
 
     def compose(opcode, a, b):
-        return compose_fns[opcode](a, b)
+        return fns[opcode](a) if b is None else fns[opcode](a, b)
 
     seed_sigs = [domain.prop_vector(name) for name in names]
     winners: dict = {}
@@ -358,18 +396,66 @@ def _run_search(names, domain, ops, is_separating, bound, semantic,
 
     def visit(cost, opcode, left, right, sig):
         distinct.add(sig)
-        if is_separating(sig) and (winners_at is None or cost == winners_at):
+        if (sig & screen == pos_mask and is_separating(sig)
+                and (winners_at is None or cost == winners_at)):
             winners.setdefault(cost, []).append((opcode, left, right))
             if winners_at is None and cost == enum.current_cost:
                 enum.stop_expansion = True
-        return not semantic or sig not in kept_sigs
+        if not semantic:
+            return True
+        if sig in kept_sigs:
+            return False
+        kept_sigs.add(sig)
+        return True
 
-    def on_register(nid):
-        if semantic:
-            kept_sigs.add(enum.payloads[nid])
+    def visit_top(nid, unary, rights, lefts):
+        # One comprehension per operator over the whole share, laid out
+        # as: unary rows, then per binary row `nid • rights` and
+        # `lefts • nid` (`lefts` is a prefix of `rights`, so a commuting
+        # • reuses the first half).
+        a = payloads[nid]
+        sigs = [fn(a) for fn in unary_fns] if unary else []
+        n_u, n_r, n_l = len(sigs), len(rights), len(lefts)
+        bs = [payloads[d] for d in rights]
+        cs = bs[:n_l]
+        na = full ^ a
+        for token, fn in binary_fns:
+            if token == AND:
+                out = [a & b for b in bs]
+            elif token == OR:
+                out = [a | b for b in bs]
+            elif token == IFF:
+                out = [na ^ b for b in bs]
+            elif token == IMPLIES:
+                sigs += [na | b for b in bs]
+                if cs:
+                    sigs += [(full ^ b) | a for b in cs]
+                continue
+            else:
+                sigs += [fn(a, b) for b in bs]
+                if cs:
+                    sigs += [fn(b, a) for b in cs]
+                continue
+            sigs += out
+            if n_l:
+                sigs += out[:n_l]
+        distinct.update(sigs)
+        found = []
+        for i in [i for i, sig in enumerate(sigs)
+                  if sig & screen == pos_mask]:
+            if is_separating(sigs[i]):
+                if i < n_u:
+                    found.append((i, nid, -1))
+                    continue
+                k, j = divmod(i - n_u, n_r + n_l)
+                found.append((n_unary + k, nid, rights[j]) if j < n_r
+                             else (n_unary + k, lefts[j - n_r], nid))
+        if found:  # the final layer's cost is the bound (or `winners_at`)
+            winners.setdefault(bound, []).extend(found)
 
-    enum = ClosureEnumeration(seed_sigs, len(unary_ops), len(binary_ops),
-                              bound, compose, visit, on_register=on_register)
+    enum = ClosureEnumeration(seed_sigs, n_unary, len(binary_rows), bound,
+                              compose, visit, visit_top)
+    payloads = enum.payloads
     for cost in enum.run():
         if winners_at is None and winners.get(cost):
             break
@@ -379,67 +465,36 @@ def _run_search(names, domain, ops, is_separating, bound, semantic,
     return best_cost, winners.get(best_cost, []), enum, stats
 
 
-def _pick_witness(enum, triples, names, ops):
+def _pick_witness(enum, triples, names, logic, rows):
     """Deterministic tie-break: least structural key (proposition name, then
     the fixed operator order, existential before universal)."""
-    unary_ops, binary_ops = ops
-    op_builders = [b for _, b in unary_ops] + [b for _, b in binary_ops]
-    best = None
-    for triple in triples:
-        f = enum.build_formula(triple, lambda i: Prop(names[i]), op_builders)
-        key = structural_key(f)
-        if best is None or key < best[0]:
-            best = (key, f)
-    return best[1]
+    builders = [_builder(logic, *row) for row in rows[0] + rows[1]]
+    return min((enum.build_formula(t, lambda i: Prop(names[i]), builders)
+                for t in triples), key=structural_key)
 
 
-_PAD_BINARY_LTL = (AND, OR, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
+_IDEMPOTENT = (AND, OR, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
 
 
-def _pad_witness(witness, current, target, operators, logic, trivial):
-    """Grow a separating witness to an exact size using identity-preserving
-    wrappers: `f • f` for an idempotent binary operator, double negation for
-    even gaps, or (on single-letter samples only) a vacuous temporal prefix.
-    Returns None when no allowed wrapper exists."""
-    gap = target - current
-    ctl = logic == CTL
-    for op in _PAD_BINARY_LTL:
-        if op not in operators.binary:
-            continue
-        if ctl and op not in (AND, OR):
-            quants = [q for q in _QUANT_ORDER if q in operators.quantifiers]
-            if not quants:
-                continue
-            q = quants[0]
-            for _ in range(gap):
-                witness = CtlQuantBinary(q, op, witness, witness)
-            return witness
-        make = CtlBinary if ctl else LtlBinary
-        for _ in range(gap):
-            witness = make(op, witness, witness)
-        return witness
-    if NOT in operators.unary and gap % 2 == 0:
-        make = (lambda a: CtlNot(a)) if ctl else (lambda a: LtlUnary(NOT, a))
-        for _ in range(gap):
-            witness = make(witness)
-        return witness
-    if trivial:
-        for op in _TEMPORAL_UNARY:
-            if op not in operators.unary:
-                continue
-            if ctl:
-                quants = [q for q in _QUANT_ORDER
-                          if q in operators.quantifiers]
-                if not quants:
-                    continue
-                q = quants[0]
-                for _ in range(gap):
-                    witness = CtlQuantUnary(q, op, witness)
-            else:
-                for _ in range(gap):
-                    witness = LtlUnary(op, witness)
-            return witness
-    return None
+def _pad_witness(witness, gap, logic, rows, trivial):
+    """Grow a separating witness by `gap` nodes using identity-preserving
+    wrappers from the full operator table `rows`: `f • f` for its first
+    idempotent binary row, else double negation for even gaps, else (on
+    single-letter samples only) a vacuous temporal prefix.  Returns None
+    when no allowed wrapper exists."""
+    unary, binary = rows
+    row = next((r for r in binary if r[0] in _IDEMPOTENT), None)
+    arity = 2
+    if row is None:
+        row = next((r for r in unary if (gap % 2 == 0 if r[0] == NOT
+                                         else trivial)), None)
+        arity = 1
+    if row is None:
+        return None
+    make = _builder(logic, *row)
+    for _ in range(gap):
+        witness = make(*(witness,) * arity)
+    return witness
 
 
 def learn(sample: Sample, config: LearnConfig | None = None) -> LearnOutcome:
@@ -465,42 +520,37 @@ def learn(sample: Sample, config: LearnConfig | None = None) -> LearnOutcome:
 
     started = time.perf_counter()
     names = sorted(sample.alphabet)
-    domain, is_separating, trivial = _build_domain(sample)
+    logic = sample.logic
+    domain, pos_mask, screen, is_separating, trivial = _build_domain(sample)
     semantic = config.dedup == DedupMode.SEMANTIC
-    skip_trivial = semantic and trivial
-    tables = _ltl_op_tables if sample.logic == LTL else _ctl_op_tables
-    ops = tables(config.operators, domain, skip_trivial)
+    rows = _op_table(logic, config.operators, semantic and trivial)
     exact = config.bound_mode == BoundMode.EXACTLY
-
-    if exact and not semantic:
-        cost, triples, enum, stats = _run_search(
-            names, domain, ops, is_separating, bound, False, winners_at=bound)
-    else:
-        cost, triples, enum, stats = _run_search(
-            names, domain, ops, is_separating, bound, semantic)
+    cost, triples, enum, stats = _run_search(
+        names, domain, rows, pos_mask, screen, is_separating, bound,
+        semantic, winners_at=bound if exact and not semantic else None)
     stats["elapsed_seconds"] = time.perf_counter() - started
 
     if cost is None:
         return LearnOutcome(False, None, None, stats)
-    witness = _pick_witness(enum, triples, names, ops)
+    witness = _pick_witness(enum, triples, names, logic, rows)
     if exact and cost < bound:
-        padded = _pad_witness(witness, cost, bound, config.operators,
-                              sample.logic, trivial)
+        rows_full = _op_table(logic, config.operators, False)
+        padded = _pad_witness(witness, bound - cost, logic, rows_full,
+                              trivial)
         if padded is None:
             # No identity-preserving wrapper exists under this operator
             # set; fall back to the exhaustive pass restricted to the
-            # exact target size (with the unskipped operator tables).
-            ops_full = tables(config.operators, domain, False)
+            # exact target size (with the unskipped operator table).
             cost, triples, enum, extra = _run_search(
-                names, domain, ops_full, is_separating, bound, False,
-                winners_at=bound)
+                names, domain, rows_full, pos_mask, screen, is_separating,
+                bound, False, winners_at=bound)
             stats["candidates_generated"] += extra["candidates_generated"]
             stats["distinct_signatures"] = max(
                 stats["distinct_signatures"], extra["distinct_signatures"])
             stats["elapsed_seconds"] = time.perf_counter() - started
             if cost is None:
                 return LearnOutcome(False, None, None, stats)
-            witness = _pick_witness(enum, triples, names, ops_full)
+            witness = _pick_witness(enum, triples, names, logic, rows_full)
         else:
             witness = padded
             cost = bound
@@ -547,26 +597,33 @@ def enumerate_formulas(alphabet, max_size, operators: OperatorSet | None = None,
         raise ValueError(f"unknown logic {logic!r}")
     if operators is None:
         operators = OperatorSet.full()
-    tables = _ltl_op_tables if logic == LTL else _ctl_op_tables
-    unary_ops, binary_ops = tables(operators, None, False)
-    return _enumerate(names, max_size, unary_ops, binary_ops)
+    return _enumerate(names, max_size, logic,
+                      _op_table(logic, operators, False))
 
 
-def _enumerate(names, max_size, unary_ops, binary_ops):
-    builders = [b for _, b in unary_ops] + [b for _, b in binary_ops]
+def _enumerate(names, max_size, logic, rows):
+    builders = [_builder(logic, *row) for row in rows[0] + rows[1]]
 
     def compose(opcode, a, b):
-        return builders[opcode](a, b)
+        return builders[opcode](a) if b is None else builders[opcode](a, b)
 
-    batch: list = []
+    layer: list = []
+    top: list = []  # final-layer triples, in schedule order
 
     def visit(cost, opcode, left, right, payload):
-        batch.append(payload)
+        layer.append(payload)
         return True
 
-    enum = ClosureEnumeration([Prop(n) for n in names], len(unary_ops),
-                              len(binary_ops), max_size, compose, visit,
-                              eager_top=False)
-    for _ in enum.run():
-        yield from batch
-        batch.clear()
+    def visit_top(*share):
+        top.extend(enum.top_triples(*share))
+
+    enum = ClosureEnumeration([Prop(n) for n in names], len(rows[0]),
+                              len(rows[1]), max_size, compose, visit,
+                              visit_top)
+    payloads = enum.payloads
+    for cost in enum.run():
+        if cost == max_size:
+            layer.extend(compose(op, payloads[a], None if b < 0 else payloads[b])
+                         for op, a, b in top)
+        yield from layer
+        layer.clear()

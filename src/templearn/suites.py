@@ -52,10 +52,10 @@ from .formulas import (
     LtlUnary, OperatorSet, Prop, print_formula,
 )
 from .learner import (
-    ClosureEnumeration, _ltl_op_tables, _LTL_BINARY_ORDER, _LTL_UNARY_ORDER,
-    enumerate_formulas, learn,
+    ClosureEnumeration, _builder, _op_table, _vector_fn, enumerate_formulas,
+    learn,
 )
-from .models import CTL, Word, embed_word
+from .models import CTL, LTL, Word, embed_word
 from .reductions import (
     CnfInstance, ExtractionError, extract_valuation, reduce_ltl_to_ctl,
     reduce_sat, sat_oracle, satisfies,
@@ -320,16 +320,17 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     letters = single_letters(props)
     full = (1 << len(words)) - 1
 
-    unary_ops, binary_ops = _ltl_op_tables(OperatorSet.full(), dom, False)
-    compose_fns = [fn for fn, _ in unary_ops] + [fn for fn, _ in binary_ops]
-    op_builders = [b for _, b in unary_ops] + [b for _, b in binary_ops]
-    n_unary = len(unary_ops)
-    unary_actions = [_TR_UNARY_ACTION[op] for op in _LTL_UNARY_ORDER]
-    binary_actions = [_TR_BINARY_ACTION[op] for op in _LTL_BINARY_ORDER]
-    binary_tokens = list(_LTL_BINARY_ORDER)
+    unary_rows, binary_rows = _op_table(LTL, OperatorSet.full(), False)
+    rows = unary_rows + binary_rows
+    fns = [_vector_fn(dom, *row) for row in rows]
+    op_builders = [_builder(LTL, *row) for row in rows]
+    n_unary = len(unary_rows)
+    unary_actions = [_TR_UNARY_ACTION[op] for op, _ in unary_rows]
+    binary_actions = [_TR_BINARY_ACTION[op] for op, _ in binary_rows]
+    binary_tokens = [op for op, _ in binary_rows]
 
     def compose(opcode, a, b):
-        return compose_fns[opcode](a, b)
+        return fns[opcode](a) if b is None else fns[opcode](a, b)
 
     tf = _TemporalFreeUniverse(dom, props)
     tf_sigs, tf_closures = tf.sigs, tf.closures
@@ -340,6 +341,8 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     temporal = []   # uses a temporal operator
     trids = []      # temporal-free image node
     trimages = []   # frozenset of image nodes of all sub-formulas
+    closures = []   # frozenset of the ids of all sub-formulas, itself included
+    columns = (masks, concise, temporal, trids, trimages)
 
     elim = _Violations()
     counting = _Violations()
@@ -354,7 +357,6 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
         flip_pairs.append(pairs)
 
     ys = _y_subsets(nprops)
-    pending = [None]
     checked = [0]
 
     def describe(opcode, left, right):
@@ -362,7 +364,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
         return print_formula(enum.build_formula(
             triple, lambda i: Prop(props[i]), op_builders))
 
-    def visit(cost, opcode, left, right, sig):
+    def check(cost, opcode, left, right, sig):
         checked[0] += 1
         if opcode < 0:
             mask = 1 << left
@@ -381,7 +383,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                 is_temporal = True
                 trid = trids[left]
             trimage = trimages[left] | {trid}
-            closure_ids = enum.closures[left]
+            closure_ids = closures[left]
         else:
             mask = masks[left] | masks[right]
             is_concise = (concise[left] and concise[right]
@@ -398,7 +400,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                 is_temporal = True
                 trid = tf.combine(action, trids[left], trids[right])
             trimage = trimages[left] | trimages[right] | {trid}
-            closure_ids = enum.closures[left] | enum.closures[right]
+            closure_ids = closures[left] | closures[right]
 
         # Temporal elimination: size, sub-formula containment, semantics.
         image_closure = tf_closures[trid]
@@ -446,20 +448,27 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                             f"letters differing only in {props[k]}")
                         break
 
-        pending[0] = (mask, is_concise, is_temporal, trid, trimage)
+        return (mask, is_concise, is_temporal, trid, trimage), closure_ids
+
+    def visit(cost, opcode, left, right, sig):
+        # Below the final layer every visited formula is registered, under
+        # the next id.
+        record, closure_ids = check(cost, opcode, left, right, sig)
+        for column, value in zip(columns, record):
+            column.append(value)
+        closures.append(frozenset(closure_ids) | {len(closures)})
         return True
 
-    def on_register(nid):
-        mask, is_concise, is_temporal, trid, trimage = pending[0]
-        masks.append(mask)
-        concise.append(is_concise)
-        temporal.append(is_temporal)
-        trids.append(trid)
-        trimages.append(trimage)
+    def visit_top(*share):
+        payloads = enum.payloads
+        for opcode, left, right in enum.top_triples(*share):
+            check(max_size, opcode, left, right,
+                  compose(opcode, payloads[left],
+                          None if right < 0 else payloads[right]))
 
     seeds = [dom.prop_vector(name) for name in props]
-    enum = ClosureEnumeration(seeds, n_unary, len(binary_ops), max_size,
-                              compose, visit, on_register=on_register)
+    enum = ClosureEnumeration(seeds, n_unary, len(binary_rows), max_size,
+                              compose, visit, visit_top)
     for _ in enum.run():
         pass
 

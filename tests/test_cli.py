@@ -24,6 +24,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Runs the CLI in a child interpreter with one name in `templearn.cli`
+# replaced by a function that returns False.
+_PATCHED_MAIN = """
+import sys
+from templearn import cli
+cli.{name} = lambda *args: False
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_optimized(patched, *argv):
+    """Run the CLI under `python -O`, which strips assert statements."""
+    package_dir = Path(templearn.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-O", "-c", _PATCHED_MAIN.format(name=patched),
+         *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_dir)})
+
+
 @pytest.fixture
 def sample_file(tmp_path):
     path = tmp_path / "basic.sample"
@@ -54,6 +74,14 @@ class TestCheck:
                            "--sample", sample_file)
         assert code == EXIT_OK
         assert "separating: false" in out
+
+    def test_inconsistent_verdicts_stop_the_report_under_O(self,
+                                                           sample_file):
+        result = run_optimized("check_separating", "check", "--formula",
+                               "F p", "--sample", sample_file)
+        assert result.returncode != 0
+        assert "separating:" not in result.stdout
+        assert "internal error" in result.stderr
 
     def test_json_report(self, capsys, sample_file):
         code, out, _ = run(capsys, "check", "--json", "--formula", "F p",
@@ -118,6 +146,12 @@ class TestLearn:
         code, out, _ = run(capsys, "learn", "--sample", sample_file,
                            "--no-dedup")
         assert code == EXIT_OK and "witness: X p" in out
+
+    def test_unverified_witness_is_not_printed_under_O(self, sample_file):
+        result = run_optimized("verify", "learn", "--sample", sample_file)
+        assert result.returncode != 0
+        assert "witness:" not in result.stdout
+        assert "internal error" in result.stderr
 
     def test_bad_operator_name(self, capsys, sample_file):
         code, _, err = run(capsys, "learn", "--sample", sample_file,

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from templearn import (
-    BoundMode, DedupMode, KripkeStructure, LearnConfig, OperatorSet, Sample,
-    Word, check_separating, conforms, enumerate_formulas, learn, parse_ctl,
-    parse_ltl, size, verify,
+    BoundMode, CnfInstance, DedupMode, KripkeStructure, LearnConfig,
+    OperatorSet, Sample, Word, check_separating, conforms, enumerate_formulas,
+    learn, parse_ctl, parse_ltl, print_formula, reduce_ltl_to_ctl,
+    reduce_sat, size, verify,
 )
 
 
@@ -358,3 +359,102 @@ class TestEnumeration:
             enumerate_formulas([], 2)
         with pytest.raises(ValueError, match="logic"):
             enumerate_formulas(["p"], 2, logic="nope")
+
+
+# (decision, printed witness, size, candidates_generated, distinct_signatures)
+# per sample and mode, recorded before the final layer was batched.  NONE
+# mode runs the reduction samples at bound 3 to stay fast.
+PINNED_SEARCHES = {
+    ('sat-a/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
+    ('sat-a/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
+    ('sat-a/ltl', 'none'): (False, None, None, 2334, 56),
+    ('sat-a/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
+    ('sat-a/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
+    ('sat-a/ctl', 'none'): (False, None, None, 5382, 56),
+    ('sat-b/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
+    ('sat-b/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
+    ('sat-b/ltl', 'none'): (False, None, None, 2334, 66),
+    ('sat-b/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
+    ('sat-b/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
+    ('sat-b/ctl', 'none'): (False, None, None, 5382, 66),
+    ('unsat-a/ltl', 'default'): (False, None, None, 4962, 182),
+    ('unsat-a/ltl', 'exactly'): (False, None, None, 4962, 182),
+    ('unsat-a/ltl', 'none'): (False, None, None, 2334, 59),
+    ('unsat-a/ctl', 'default'): (False, None, None, 4962, 182),
+    ('unsat-a/ctl', 'exactly'): (False, None, None, 4962, 182),
+    ('unsat-a/ctl', 'none'): (False, None, None, 5382, 59),
+    ('unsat-b/ltl', 'default'): (False, None, None, 5756, 307),
+    ('unsat-b/ltl', 'exactly'): (False, None, None, 5756, 307),
+    ('unsat-b/ltl', 'none'): (False, None, None, 2334, 62),
+    ('unsat-b/ctl', 'default'): (False, None, None, 5756, 307),
+    ('unsat-b/ctl', 'exactly'): (False, None, None, 5756, 307),
+    ('unsat-b/ctl', 'none'): (False, None, None, 5382, 62),
+    ('lasso-0', 'default'): (True, 'X p', 2, 70, 16),
+    ('lasso-0', 'exactly'): (True, 'X p & X p', 3, 70, 16),
+    ('lasso-0', 'none'): (True, 'X p', 2, 70, 16),
+    ('lasso-1', 'default'): (True, 'X (p -> X p)', 4, 1290, 52),
+    ('lasso-1', 'exactly'): (True, 'X (p -> X p)', 4, 1290, 52),
+    ('lasso-1', 'none'): (True, 'X (p -> X p)', 4, 33482, 52),
+    ('lasso-2', 'default'): (True, 'F p', 2, 98, 31),
+    ('lasso-2', 'exactly'): (True, 'F p & F p', 3, 98, 31),
+    ('lasso-2', 'none'): (True, 'F p', 2, 98, 31),
+    ('lasso-3', 'default'): (True, 'X X q', 3, 1354, 84),
+    ('lasso-3', 'exactly'): (True, 'X X q & X X q', 4, 1354, 84),
+    ('lasso-3', 'none'): (True, 'X X q', 3, 19974, 84),
+    ('lasso-4', 'default'): (True, 'p', 1, 2, 2),
+    ('lasso-4', 'exactly'): (True, 'p & p & (p & p)', 3, 2, 2),
+    ('lasso-4', 'none'): (True, 'p', 1, 2, 2),
+    ('lasso-5', 'default'): (True, 'p', 1, 2, 2),
+    ('lasso-5', 'exactly'): (True, 'p & p & (p & p) & (p & p & (p & p))', 4, 2, 2),
+    ('lasso-5', 'none'): (True, 'p', 1, 2, 2),
+    ('lasso-6', 'default'): (True, 'X p', 2, 115, 18),
+    ('lasso-6', 'exactly'): (True, 'X p & X p', 3, 115, 18),
+    ('lasso-6', 'none'): (True, 'X p', 2, 115, 18),
+    ('lasso-7', 'default'): (True, 'r -> q', 3, 1835, 146),
+    ('lasso-7', 'exactly'): (True, '(r -> q) & (r -> q)', 4, 1835, 146),
+    ('lasso-7', 'none'): (True, 'r -> q', 3, 6999, 146),
+}
+
+PINNED_CNFS = {
+    "sat-a": ((1, -2), (2, 3), (-1, -3)),
+    "sat-b": ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)),
+    "unsat-a": ((1, 2), (1, -2), (-1, 3), (-1, -3)),
+    "unsat-b": ((1, 2), (-1, 2), (1, -2), (-1, -2), (3, -1)),
+}
+
+PINNED_MODES = {
+    "default": {},
+    "exactly": {"bound_mode": BoundMode.EXACTLY},
+    "none": {"dedup": DedupMode.NONE},
+}
+
+
+def pinned_samples():
+    for name, clauses in PINNED_CNFS.items():
+        s = reduce_sat(CnfInstance(3, clauses))
+        yield f"{name}/ltl", s
+        yield f"{name}/ctl", reduce_ltl_to_ctl(s)
+    rng = random.Random(4417)
+    for k, (props, bound) in enumerate(
+            [(("p", "q"), 3), (("p", "q"), 4)] * 3
+            + [(("p", "q", "r"), 3), (("p", "q", "r"), 4)]):
+        yield f"lasso-{k}", random_sample(rng, props, bound=bound)
+
+
+class TestPinnedSearches:
+    """The search's observable outputs, counts included, stay fixed."""
+
+    def test_outputs_match_the_recorded_ones(self):
+        seen = {}
+        for name, s in pinned_samples():
+            for mode, kwargs in PINNED_MODES.items():
+                bound = (3 if mode == "none" and not name.startswith("lasso")
+                         else None)
+                out = learn(s, LearnConfig(logic=s.logic, bound=bound,
+                                           **kwargs))
+                seen[name, mode] = (
+                    out.decision,
+                    print_formula(out.witness) if out.witness else None,
+                    out.size, out.stats["candidates_generated"],
+                    out.stats["distinct_signatures"])
+        assert seen == PINNED_SEARCHES

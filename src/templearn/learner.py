@@ -22,10 +22,10 @@ the search.  Each registration hands its share of them over at once, as
 lists of operand ids; the search composes one operator at a time over a
 whole list in one comprehension (boolean connectives inline, temporal
 operators through the domain's own methods), adds every signature to the
-distinct set in one update, and screens them with the positive-example mask
-before the full separation test.  The lower layers stay one candidate at a
-time, because their order decides which of several same-signature
-candidates is kept.
+distinct set in one update, and screens them with one mask of start
+positions before the full separation test.  The lower layers stay one
+candidate at a time, because their order decides which of several
+same-signature candidates is kept.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -272,7 +272,7 @@ def _op_table(logic: str, operators: OperatorSet, skip_trivial: bool):
     first.  With `skip_trivial` (all examples single-letter, SEMANTIC mode)
     the temporal operators whose single-letter reduct is always generated
     anyway are omitted: X/F/G/U/R collapse to a sub-formula, W to the
-    disjunction and M to the conjunction of its operands -- so W and M are
+    disjunction and M to the conjunction of its operands — so W and M are
     only skipped when that reduct's connective is itself allowed.
     """
     quants = ((None,) if logic == LTL else
@@ -296,7 +296,6 @@ def _op_table(logic: str, operators: OperatorSet, skip_trivial: bool):
     return unary, binary
 
 
-@lru_cache(maxsize=None)
 def _builder(logic: str, token: str, quantifier):
     """The AST constructor of an operator row."""
     if logic == LTL:
@@ -305,6 +304,12 @@ def _builder(logic: str, token: str, quantifier):
         return partial(CtlQuantUnary if token in UNARY_OPS else CtlQuantBinary,
                        quantifier, token)
     return CtlNot if token == NOT else partial(CtlBinary, token)
+
+
+@lru_cache(maxsize=None)
+def _builders(logic: str, rows) -> tuple:
+    """The AST constructors of an operator table, indexed by opcode."""
+    return tuple(_builder(logic, *row) for row in rows[0] + rows[1])
 
 
 _LTL_TEMPORAL = {NEXT: "v_ex", ALWAYS: "v_eg", UNTIL: "v_until",
@@ -468,7 +473,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
 def _pick_witness(enum, triples, names, logic, rows):
     """Deterministic tie-break: least structural key (proposition name, then
     the fixed operator order, existential before universal)."""
-    builders = [_builder(logic, *row) for row in rows[0] + rows[1]]
+    builders = _builders(logic, rows)
     return min((enum.build_formula(t, lambda i: Prop(names[i]), builders)
                 for t in triples), key=structural_key)
 
@@ -602,7 +607,7 @@ def enumerate_formulas(alphabet, max_size, operators: OperatorSet | None = None,
 
 
 def _enumerate(names, max_size, logic, rows):
-    builders = [_builder(logic, *row) for row in rows[0] + rows[1]]
+    builders = _builders(logic, rows)
 
     def compose(opcode, a, b):
         return builders[opcode](a) if b is None else builders[opcode](a, b)
@@ -623,7 +628,8 @@ def _enumerate(names, max_size, logic, rows):
     payloads = enum.payloads
     for cost in enum.run():
         if cost == max_size:
-            layer.extend(compose(op, payloads[a], None if b < 0 else payloads[b])
+            layer.extend(compose(op, payloads[a],
+                                 None if b < 0 else payloads[b])
                          for op, a, b in top)
         yield from layer
         layer.clear()

@@ -52,7 +52,7 @@ from .formulas import (
     LtlUnary, OperatorSet, Prop, print_formula,
 )
 from .learner import (
-    ClosureEnumeration, _builder, _op_table, _vector_fn, enumerate_formulas,
+    ClosureEnumeration, _builders, _op_table, _vector_fn, enumerate_formulas,
     learn,
 )
 from .models import CTL, LTL, Word, embed_word
@@ -320,10 +320,10 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     letters = single_letters(props)
     full = (1 << len(words)) - 1
 
-    unary_rows, binary_rows = _op_table(LTL, OperatorSet.full(), False)
-    rows = unary_rows + binary_rows
-    fns = [_vector_fn(dom, *row) for row in rows]
-    op_builders = [_builder(LTL, *row) for row in rows]
+    table = _op_table(LTL, OperatorSet.full(), False)
+    unary_rows, binary_rows = table
+    fns = [_vector_fn(dom, *row) for row in unary_rows + binary_rows]
+    op_builders = _builders(LTL, table)
     n_unary = len(unary_rows)
     unary_actions = [_TR_UNARY_ACTION[op] for op, _ in unary_rows]
     binary_actions = [_TR_BINARY_ACTION[op] for op, _ in binary_rows]

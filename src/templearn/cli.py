@@ -142,28 +142,18 @@ def _cmd_check(args) -> int:
     report.input_file("sample", args.sample)
     report.input_value("formula", args.formula)
 
+    ltl = sample.logic == LTL
+    check = check_ltl if ltl else check_ctl
     verdicts = {"positives": [], "negatives": []}
     ok = True
-    if sample.logic == LTL:
-        for i, word in enumerate(sample.positives):
-            value = check_ltl(formula, word)
-            ok &= value
-            verdicts["positives"].append(value)
-            report.line(f"pos {word_to_text(word)}: {_text_value(value)}")
-        for i, word in enumerate(sample.negatives):
-            value = check_ltl(formula, word)
-            ok &= not value
-            verdicts["negatives"].append(value)
-            report.line(f"neg {word_to_text(word)}: {_text_value(value)}")
-    else:
-        for kind, structures in (("pos", sample.positives),
-                                 ("neg", sample.negatives)):
-            for i, structure in enumerate(structures):
-                value = check_ctl(formula, structure)
-                ok &= value if kind == "pos" else not value
-                verdicts["positives" if kind == "pos"
-                         else "negatives"].append(value)
-                report.line(f"{kind} structure[{i}]: {_text_value(value)}")
+    for kind, key, examples in (("pos", "positives", sample.positives),
+                                ("neg", "negatives", sample.negatives)):
+        for i, example in enumerate(examples):
+            value = check(formula, example)
+            ok &= value if kind == "pos" else not value
+            verdicts[key].append(value)
+            label = word_to_text(example) if ltl else f"structure[{i}]"
+            report.line(f"{kind} {label}: {_text_value(value)}")
     try:
         separating = check_separating(formula, sample)
     except ValueError as exc:

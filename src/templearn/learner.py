@@ -21,10 +21,10 @@ Candidates of exactly the bound are never registered, yet they are most of
 the search.  Each registration hands its share of them over at once, as
 lists of operand ids; the search composes one operator at a time over a
 whole list in one comprehension (boolean connectives inline, temporal
-operators through the domain's own methods), adds every signature to the
-distinct set in one update, and screens them with one mask of start
-positions before the full separation test.  The lower layers stay one
-candidate at a time, because their order decides which of several
+operators through their row of the domain's operator table), adds every
+signature to the distinct set in one update, and screens them with one mask
+of start positions before the full separation test.  The lower layers stay
+one candidate at a time, because their order decides which of several
 same-signature candidates is kept.
 
 Each candidate carries a semantic signature: the bit vector of its values at
@@ -50,11 +50,9 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
-from operator import and_, or_, xor
 
 from .formulas import (
-    ALWAYS, AND, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
-    STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    AND, IFF, IMPLIES, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
     LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
     UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
@@ -312,32 +310,6 @@ def _builders(logic: str, rows) -> tuple:
     return tuple(_builder(logic, *row) for row in rows[0] + rows[1])
 
 
-_LTL_TEMPORAL = {NEXT: "v_ex", ALWAYS: "v_eg", UNTIL: "v_until",
-                 RELEASE: "v_release", WEAK_UNTIL: "v_weak_until",
-                 STRONG_RELEASE: "v_strong_release"}
-
-
-def _vector_fn(domain, token: str, quantifier):
-    """The vector function of an operator row over `domain`."""
-    full = domain.full
-    if quantifier is not None:
-        fn = domain.quant_unary if token in UNARY_OPS else domain.quant_binary
-        return partial(fn, quantifier, token)
-    if token == NOT:
-        return partial(xor, full)
-    if token == AND:
-        return and_
-    if token == OR:
-        return or_
-    if token == IMPLIES:
-        return lambda a, b: (full ^ a) | b
-    if token == IFF:
-        return lambda a, b: full ^ (a ^ b)
-    if token == EVENTUALLY:
-        return partial(domain.v_eu, full)
-    return getattr(domain, _LTL_TEMPORAL[token])
-
-
 def _build_domain(sample: Sample):
     """Evaluation domain, positive-example mask, screen, separating-signature
     test, and triviality flag.
@@ -385,7 +357,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     """
     unary_rows, binary_rows = rows
     n_unary = len(unary_rows)
-    fns = [_vector_fn(domain, *row) for row in unary_rows + binary_rows]
+    fns = [domain.op(*row) for row in unary_rows + binary_rows]
     unary_fns = fns[:n_unary]
     binary_fns = [(token, fn) for (token, _), fn
                   in zip(binary_rows, fns[n_unary:])]

@@ -4,29 +4,70 @@ All sub-formula values are bit vectors (Python ints) with one bit per
 position: a suffix class of an ultimately periodic word, or a state of a
 structure.  Both domains share one trusted core: each supplies its pre-image
 EX, and EU and EG are the least and greatest fixpoints over it, iterated on
-whole vectors.  Every other temporal operator is rewritten to these three
-through its defining identity.
+whole vectors.  One operator table, keyed by `(token, quantifier)` rows,
+rewrites every operator to these three through its defining identity; the
+checkers and the learner both take their vector functions from it.
 
 A lasso word is the deterministic Kripke structure with one successor per
 suffix class, so its EX is X: one right shift within the words, plus one
 left shift per distinct period length that carries each loop start onto the
-last class of its word.  For structures, EX labels the states that have a
-successor in the argument.
+last class of its word.  On a deterministic structure E and A agree, so an
+LTL row is the CTL row of the same token.  For structures, EX labels the
+states that have a successor in the argument.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import and_, or_, xor
+
 from .formulas import (
     AND, ALWAYS, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
-    STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    STRONG_RELEASE, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS, UNTIL, WEAK_UNTIL,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula,
     LtlBinary, LtlUnary, Prop, is_ctl, is_ltl, prop_names,
 )
-from .models import CTL, LTL, KripkeStructure, Sample, Word
+from .models import LTL, KripkeStructure, Sample, Word
+
+
+# The vector function of every operator row `(token, quantifier)`, as a
+# function of the domain `d` whose core it is written over: `d.full`,
+# `d.v_ex`, `d.v_eu` and `d.v_eg`.  The quantified rows are the CTL
+# semantics, each universal row the dual of an existential rewrite.
+OPERATOR_TABLE = {
+    (NOT, None): lambda d: partial(xor, d.full),
+    (AND, None): lambda d: and_,
+    (OR, None): lambda d: or_,
+    (IMPLIES, None): lambda d: lambda a, b: (d.full ^ a) | b,
+    (IFF, None): lambda d: lambda a, b: d.full ^ (a ^ b),
+    (NEXT, "E"): lambda d: d.v_ex,
+    (NEXT, "A"): lambda d: lambda a: d.full ^ d.v_ex(d.full ^ a),
+    (EVENTUALLY, "E"): lambda d: partial(d.v_eu, d.full),
+    (EVENTUALLY, "A"): lambda d: lambda a: d.full ^ d.v_eg(d.full ^ a),
+    (ALWAYS, "E"): lambda d: d.v_eg,
+    (ALWAYS, "A"): lambda d: lambda a: d.full ^ d.v_eu(d.full, d.full ^ a),
+    (UNTIL, "E"): lambda d: d.v_eu,
+    (UNTIL, "A"): lambda d: lambda a, b: d.full ^ (
+        d.v_eu(d.full ^ b, d.full ^ (a | b)) | d.v_eg(d.full ^ b)),
+    (RELEASE, "E"): lambda d: lambda a, b: d.v_eu(b, a & b) | d.v_eg(b),
+    (RELEASE, "A"): lambda d: lambda a, b: d.full ^ d.v_eu(d.full ^ a,
+                                                         d.full ^ b),
+    (WEAK_UNTIL, "E"): lambda d: lambda a, b: d.v_eu(a, b) | d.v_eg(a),
+    (WEAK_UNTIL, "A"): lambda d: lambda a, b: d.full ^ d.v_eu(d.full ^ b,
+                                                            d.full ^ (a | b)),
+    (STRONG_RELEASE, "E"): lambda d: lambda a, b: d.v_eu(b, a & b),
+    (STRONG_RELEASE, "A"): lambda d: lambda a, b: d.full ^ (
+        d.v_eu(d.full ^ a, d.full ^ b) | d.v_eg(d.full ^ a)),
+}
+# On a lasso E and A agree, so the linear-time row of a temporal operator is
+# the quantified row of the same token that needs one fixpoint.
+OPERATOR_TABLE.update(
+    {(t, None): OPERATOR_TABLE[t, "A" if t in (RELEASE, WEAK_UNTIL) else "E"]
+     for t in TEMPORAL_UNARY_OPS + TEMPORAL_BINARY_OPS})
 
 
 class _Fixpoints:
-    """The fixpoint core that every temporal operator is rewritten to.
+    """The fixpoint core that every operator is rewritten to.
 
     A domain supplies its pre-image `v_ex(a)`, the vector of the positions
     with a successor in `a`; `EU` and `EG` are then its least and greatest
@@ -52,6 +93,16 @@ class _Fixpoints:
             if nz == z:
                 return z
             z = nz
+
+    def op(self, token: str, quantifier: str | None = None):
+        """The vector function of the operator row `(token, quantifier)`."""
+        return OPERATOR_TABLE[token, quantifier](self)
+
+    def unary(self, op: str, a: int) -> int:
+        return OPERATOR_TABLE[op, None](self)(a)
+
+    def binary(self, op: str, a: int, b: int) -> int:
+        return OPERATOR_TABLE[op, None](self)(a, b)
 
 
 class LtlDomain(_Fixpoints):
@@ -89,52 +140,12 @@ class LtlDomain(_Fixpoints):
                     v |= 1 << (off + c)
         return v
 
-    # -- vector transformers -------------------------------------------------
-
     def v_ex(self, a: int) -> int:
         """X a: a lasso is a Kripke structure with one successor per class."""
         r = (a >> 1) & self._body
         for mask, shift in self._loops:
             r |= (a & mask) << shift
         return r
-
-    def v_until(self, a: int, b: int) -> int:
-        return self.v_eu(a, b)
-
-    def v_release(self, a: int, b: int) -> int:
-        return self.full ^ self.v_eu(self.full ^ a, self.full ^ b)
-
-    def v_weak_until(self, a: int, b: int) -> int:
-        return self.v_eu(a, b) | self.v_eg(a)
-
-    def v_strong_release(self, a: int, b: int) -> int:
-        return self.v_release(a, b) & self.v_eu(self.full, a)
-
-    def unary(self, op: str, a: int) -> int:
-        if op == NOT:
-            return self.full ^ a
-        if op == NEXT:
-            return self.v_ex(a)
-        if op == EVENTUALLY:
-            return self.v_eu(self.full, a)
-        return self.v_eg(a)
-
-    def binary(self, op: str, a: int, b: int) -> int:
-        if op == AND:
-            return a & b
-        if op == OR:
-            return a | b
-        if op == IMPLIES:
-            return (self.full ^ a) | b
-        if op == IFF:
-            return self.full ^ (a ^ b)
-        if op == UNTIL:
-            return self.v_eu(a, b)
-        if op == RELEASE:
-            return self.v_release(a, b)
-        if op == WEAK_UNTIL:
-            return self.v_weak_until(a, b)
-        return self.v_strong_release(a, b)
 
     def evaluate(self, f: Formula) -> int:
         cache: dict = {}
@@ -199,51 +210,11 @@ class CtlDomain(_Fixpoints):
                 r |= 1 << i
         return r
 
-    # -- derived operators, rewritten to the core ----------------------------
-
     def quant_unary(self, quantifier: str, op: str, a: int) -> int:
-        full = self.full
-        if op == NEXT:
-            if quantifier == "E":
-                return self.v_ex(a)
-            return full ^ self.v_ex(full ^ a)
-        if op == EVENTUALLY:
-            if quantifier == "E":
-                return self.v_eu(full, a)
-            return full ^ self.v_eg(full ^ a)
-        # ALWAYS
-        if quantifier == "E":
-            return self.v_eg(a)
-        return full ^ self.v_eu(full, full ^ a)
+        return OPERATOR_TABLE[op, quantifier](self)(a)
 
     def quant_binary(self, quantifier: str, op: str, a: int, b: int) -> int:
-        full = self.full
-        na, nb = full ^ a, full ^ b
-        if op == UNTIL:
-            if quantifier == "E":
-                return self.v_eu(a, b)
-            return full ^ (self.v_eu(nb, na & nb) | self.v_eg(nb))
-        if op == RELEASE:
-            if quantifier == "E":
-                return self.v_eu(b, a & b) | self.v_eg(b)
-            return full ^ self.v_eu(na, nb)
-        if op == WEAK_UNTIL:
-            if quantifier == "E":
-                return self.v_eu(a, b) | self.v_eg(a)
-            return full ^ self.v_eu(nb, na & nb)
-        # STRONG_RELEASE
-        if quantifier == "E":
-            return self.v_eu(b, a & b)
-        return (full ^ self.v_eu(na, nb)) & (full ^ self.v_eg(na))
-
-    def binary(self, op: str, a: int, b: int) -> int:
-        if op == AND:
-            return a & b
-        if op == OR:
-            return a | b
-        if op == IMPLIES:
-            return (self.full ^ a) | b
-        return self.full ^ (a ^ b)
+        return OPERATOR_TABLE[op, quantifier](self)(a, b)
 
     def evaluate(self, f: Formula) -> int:
         cache: dict = {}

@@ -52,8 +52,7 @@ from .formulas import (
     LtlUnary, OperatorSet, Prop, print_formula,
 )
 from .learner import (
-    ClosureEnumeration, _builders, _op_table, _vector_fn, enumerate_formulas,
-    learn,
+    ClosureEnumeration, _builders, _op_table, enumerate_formulas, learn,
 )
 from .models import CTL, LTL, Word, embed_word
 from .reductions import (
@@ -160,21 +159,24 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
                 bad.add(f"{op} {print_formula(f)} differs from its operand "
                         "on a constant word")
 
-    binary = dom.binary
+    # The checker's own row functions, looked up once for the pair loops.
+    until, release, weak_until, strong_release = (
+        dom.op(op) for op in TEMPORAL_BINARY_OPS)
+    disjunction, conjunction = dom.op(OR), dom.op(AND)
     pair_checked = 0
     for (f1, a), (f2, b) in itertools.product(zip(formulas, vectors),
                                               repeat=2):
         pair_checked += 1
-        if dom.v_until(a, b) != b:
+        if until(a, b) != b:
             bad.add(f"({print_formula(f1)}) U ({print_formula(f2)}) differs "
                     "from its right operand on a constant word")
-        if dom.v_release(a, b) != b:
+        if release(a, b) != b:
             bad.add(f"({print_formula(f1)}) R ({print_formula(f2)}) differs "
                     "from its right operand on a constant word")
-        if dom.v_weak_until(a, b) != binary(OR, a, b):
+        if weak_until(a, b) != disjunction(a, b):
             bad.add(f"({print_formula(f1)}) W ({print_formula(f2)}) differs "
                     "from the disjunction on a constant word")
-        if dom.v_strong_release(a, b) != binary(AND, a, b):
+        if strong_release(a, b) != conjunction(a, b):
             bad.add(f"({print_formula(f1)}) M ({print_formula(f2)}) differs "
                     "from the conjunction on a constant word")
 
@@ -204,11 +206,11 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
             if dom.unary(op, a) != a:
                 bad.add(f"{op} changes signature {a:0{n_bits}b}")
         for b in range(full + 1):
-            if dom.v_until(a, b) != b or dom.v_release(a, b) != b:
+            if until(a, b) != b or release(a, b) != b:
                 bad.add(f"U/R reduct fails at signatures {a},{b}")
-            if dom.v_weak_until(a, b) != (a | b):
+            if weak_until(a, b) != (a | b):
                 bad.add(f"W reduct fails at signatures {a},{b}")
-            if dom.v_strong_release(a, b) != (a & b):
+            if strong_release(a, b) != (a & b):
                 bad.add(f"M reduct fails at signatures {a},{b}")
 
     return SuiteResult(
@@ -322,7 +324,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
 
     table = _op_table(LTL, OperatorSet.full(), False)
     unary_rows, binary_rows = table
-    fns = [_vector_fn(dom, *row) for row in unary_rows + binary_rows]
+    fns = [dom.op(*row) for row in unary_rows + binary_rows]
     op_builders = _builders(LTL, table)
     n_unary = len(unary_rows)
     unary_actions = [_TR_UNARY_ACTION[op] for op, _ in unary_rows]

@@ -54,6 +54,18 @@ def sample_file(tmp_path):
 
 
 @pytest.fixture
+def ctl_sample_file(tmp_path):
+    path = tmp_path / "basic_ctl.sample"
+    path.write_text(
+        "alphabet: p\nlogic: ctl\nbound: 3\n"
+        "pos-kripke:\nstate a {p}\ninit a\nedge a a\nend\n"
+        "pos-kripke:\nstate a {}\nstate b {p}\ninit a\nedge a b\n"
+        "edge b b\nend\n"
+        "neg-kripke:\nstate a {}\ninit a\nedge a a\nend\n")
+    return str(path)
+
+
+@pytest.fixture
 def cnf_file(tmp_path):
     path = tmp_path / "tiny.cnf"
     path.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
@@ -92,6 +104,25 @@ class TestCheck:
         assert data["outcome"]["separating"] is True
         assert data["outcome"]["verdicts"]["positives"] == [True, True]
         assert len(data["inputs"]["sample"]["sha256"]) == 64
+
+    def test_ctl_sample_labels_structures_by_index(self, capsys,
+                                                  ctl_sample_file):
+        code, out, err = run(capsys, "check", "--formula", "E F p",
+                             "--sample", ctl_sample_file)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines() == [
+            "pos structure[0]: true",
+            "pos structure[1]: true",
+            "neg structure[0]: false",
+            "separating: true",
+        ]
+        code, out, _ = run(capsys, "check", "--json", "--formula", "p",
+                           "--sample", ctl_sample_file)
+        assert code == EXIT_OK
+        outcome = json.loads(out)["outcome"]
+        assert outcome["verdicts"] == {"positives": [True, False],
+                                       "negatives": [False]}
+        assert outcome["separating"] is False
 
     def test_unparseable_formula(self, capsys, sample_file):
         code, _, err = run(capsys, "check", "--formula", "p |",

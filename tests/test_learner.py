@@ -279,6 +279,33 @@ class TestDedupEquivalence:
                     assert verify(slow.witness, s, cfg_slow)
 
 
+class TestPruningUnderDagSize:
+    """ROADMAP item 1: signature pruning keeps the first candidate of each
+    signature, which is unsound when cost is DAG size.  On this sample
+    `F q -> q` (size 3) separates, because `F q` shares `q`; the pruned
+    search keeps a same-signature stand-in that shares nothing."""
+
+    def sample(self):
+        return Sample(["p", "q"], "ltl",
+                      [word("| {}"), word("| {p,q}")],
+                      [word("{p} | {q};{p,q}"), word("{} | {};{p,q}")])
+
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_exhaustive_search_finds_the_size_three_witness(self, bound):
+        out = learn(self.sample(), LearnConfig(bound=bound,
+                                               dedup=DedupMode.NONE))
+        assert out.decision and out.size == 3
+        assert out.witness == parse_ltl("F q -> q")
+
+    @pytest.mark.xfail(strict=True, reason="pruning is unsound under DAG "
+                       "size (ROADMAP item 1): no formula at bound 3, "
+                       "X (X p -> p) at bound 4")
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_pruned_search_finds_a_size_three_witness(self, bound):
+        out = learn(self.sample(), LearnConfig(bound=bound))
+        assert out.decision and out.size == 3
+
+
 class TestCtlLearning:
     def structures(self):
         good = KripkeStructure(("a", "b"), ("a",),

@@ -6,7 +6,11 @@ import pytest
 
 from templearn import (
     KripkeStructure, Sample, Word, check_ctl, check_ltl, check_separating,
-    naive_check_ltl, parse_ctl, parse_ltl, satisfaction_vector,
+    insert_quantifiers, naive_check_ltl, parse_ctl, parse_ltl,
+    satisfaction_vector,
+)
+from templearn.formulas import (
+    QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
 )
 from templearn.semantics import LtlDomain, satisfying_states
 
@@ -101,11 +105,9 @@ class TestDerivedOperators:
         ("p W q", "(p U q) | G p"),
         ("p M q", "!(!p W !q)"),
         ("p M q", "(p R q) & F p"),
-        ("F p", "true_placeholder"),  # replaced below
+        ("F p", "!G !p"),
     ])
     def test_identity_on_random_words(self, derived, definition):
-        if definition == "true_placeholder":
-            derived, definition = "F p", "!G !p"
         rng = random.Random(7)
         f, g = parse_ltl(derived), parse_ltl(definition)
         for _ in range(200):
@@ -169,6 +171,50 @@ class TestMultiWordDomain:
                     for i in range(w.length):
                         assert naive_check_ltl(f, w, i) == got[i], (
                             str(f), str(w), i)
+
+
+def lasso_structure(w):
+    """The deterministic Kripke structure of a lasso: one state per suffix
+    class, each with its `next_class` as only successor."""
+    return KripkeStructure(
+        [str(c) for c in range(w.length)], ["0"],
+        [(str(c), str(w.next_class(c))) for c in range(w.length)],
+        [w.letter_at(c) for c in range(w.length)],
+    )
+
+
+class TestLassoIsDeterministicStructure:
+    """On a structure with one successor per state E and A agree, so each
+    LTL operator row is the CTL row of the same token under either
+    quantifier."""
+
+    def test_ltl_vector_is_either_quantified_state_set(self):
+        rng = random.Random(17)
+        for _ in range(800):
+            w = random_word(rng, ["p", "q"])
+            k = lasso_structure(w)
+            f = random_ltl(rng, ["p", "q"], 6)
+            vector = satisfaction_vector(f, w)
+            for q in QUANTIFIERS:
+                states = satisfying_states(insert_quantifiers(f, q), k)
+                assert tuple(str(c) in states for c in range(w.length)) \
+                    == vector, (str(f), str(w), q)
+
+    def test_ltl_row_equals_both_quantified_rows(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            domain = LtlDomain([random_word(rng, ["p", "q"])
+                                for _ in range(rng.randint(1, 6))])
+            a = rng.getrandbits(domain.size)
+            b = rng.getrandbits(domain.size)
+            for token in TEMPORAL_UNARY_OPS:
+                for q in QUANTIFIERS:
+                    assert domain.op(token, q)(a) == domain.op(token)(a), (
+                        token, q)
+            for token in TEMPORAL_BINARY_OPS:
+                for q in QUANTIFIERS:
+                    assert (domain.op(token, q)(a, b)
+                            == domain.op(token)(a, b)), (token, q)
 
 
 def two_state():

@@ -19,13 +19,17 @@ jointly cover every operator application exactly once:
 
 Candidates of exactly the bound are never registered, yet they are most of
 the search.  Each registration hands its share of them over at once, as
-lists of operand ids; the search composes one operator at a time over a
-whole list in one comprehension (boolean connectives inline, temporal
-operators through their row of the domain's operator table), adds every
-signature to the distinct set in one update, and screens them with one mask
-of start positions before the full separation test.  The lower layers stay
-one candidate at a time, because their order decides which of several
-same-signature candidates is kept.
+lists of operand ids.  The search composes each boolean connective over a
+whole share in one comprehension.  A share with temporal operators waits in
+a queue, and a flush runs each temporal row of the operator table once over
+every queued operand pair, packed side by side in the lanes of one int
+(`domain.lanes`): one fixpoint on a wide vector instead of one per pair.
+The queue is flushed when it holds `_LANE_CAP` lanes, when the search
+reaches the final layer, and once after the last layer.  Each share's
+signatures then go to the distinct set in one update and are screened with
+one mask of start positions before the full separation test.  The lower
+layers stay one candidate at a time, because their order decides which of
+several same-signature candidates is kept.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -347,6 +351,12 @@ def _build_domain(sample: Sample):
     return domain, pos_mask, screen, is_separating, trivial
 
 
+# How many lanes (operand pairs, plus one per share with unary rows) the
+# final layer queues for its packed temporal rows before a flush; it bounds
+# the memory that the queued shares hold.
+_LANE_CAP = 4096
+
+
 def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                 bound, semantic, winners_at=None):
     """One enumeration pass; returns (winning cost, build triples, stats).
@@ -358,9 +368,13 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     unary_rows, binary_rows = rows
     n_unary = len(unary_rows)
     fns = [domain.op(*row) for row in unary_rows + binary_rows]
-    unary_fns = fns[:n_unary]
-    binary_fns = [(token, fn) for (token, _), fn
-                  in zip(binary_rows, fns[n_unary:])]
+    # The temporal rows, each with its index among the unary or the binary
+    # rows; NOT, when allowed, is unary row 0.
+    has_not = (NOT, None) in unary_rows
+    temporal_unary = [(op, row) for op, row in enumerate(unary_rows)
+                      if row[0] != NOT]
+    temporal_binary = [(k, row) for k, row in enumerate(binary_rows)
+                       if row[0] in TEMPORAL_BINARY_OPS]
     full = domain.full
 
     def compose(opcode, a, b):
@@ -385,18 +399,27 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         kept_sigs.add(sig)
         return True
 
+    queue: list = []  # shares whose temporal slots await the next flush
+    queued_lanes = 0  # their operand pairs, plus their unary heads
+    encoded: list = []  # payloads[i] as one lane's bytes
+    width = domain.lane_bytes
+
     def visit_top(nid, unary, rights, lefts):
-        # One comprehension per operator over the whole share, laid out
-        # as: unary rows, then per binary row `nid • rights` and
+        # One comprehension per boolean operator over the whole share, laid
+        # out as: unary rows, then per binary row `nid • rights` and
         # `lefts • nid` (`lefts` is a prefix of `rights`, so a commuting
-        # • reuses the first half).
+        # • reuses the first half).  Temporal slots stay None until `flush`.
+        nonlocal queued_lanes
         a = payloads[nid]
-        sigs = [fn(a) for fn in unary_fns] if unary else []
-        n_u, n_r, n_l = len(sigs), len(rights), len(lefts)
+        sigs = [None] * n_unary if unary else []
+        if unary and has_not:
+            sigs[0] = full ^ a
+        n_l = len(lefts)
         bs = [payloads[d] for d in rights]
         cs = bs[:n_l]
+        blank = [None] * (len(bs) + n_l)
         na = full ^ a
-        for token, fn in binary_fns:
+        for token, _ in binary_rows:
             if token == AND:
                 out = [a & b for b in bs]
             elif token == OR:
@@ -405,18 +428,73 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                 out = [na ^ b for b in bs]
             elif token == IMPLIES:
                 sigs += [na | b for b in bs]
-                if cs:
-                    sigs += [(full ^ b) | a for b in cs]
+                sigs += [(full ^ b) | a for b in cs]
                 continue
             else:
-                sigs += [fn(a, b) for b in bs]
-                if cs:
-                    sigs += [fn(b, a) for b in cs]
+                sigs += blank
                 continue
             sigs += out
-            if n_l:
-                sigs += out[:n_l]
+            sigs += out[:n_l]
+        share = (nid, unary, rights, lefts, sigs)
+        if not ((unary and temporal_unary) or (blank and temporal_binary)):
+            settle(share)
+            return
+        queue.append(share)
+        queued_lanes += len(blank) + unary
+        if queued_lanes >= _LANE_CAP:
+            flush()
+
+    def flush():
+        # One packed call per temporal row over every queued share: binary
+        # rows take the pairs `(nid, d)` and `(d, nid)` of all shares as
+        # lanes, unary rows the `nid` of every share with unary opcodes.
+        nonlocal queued_lanes
+        if not queue:
+            return
+        encoded.extend(p.to_bytes(width, "little")
+                       for p in payloads[len(encoded):])
+        left_lanes, right_lanes, unary_lanes = [], [], []  # as bytes
+        for nid, unary, rights, lefts, _ in queue:
+            a = encoded[nid]
+            if unary:
+                unary_lanes.append(a)
+            bs = [encoded[d] for d in rights]
+            left_lanes.append(a * len(rights))
+            left_lanes += bs[:len(lefts)]
+            right_lanes += bs
+            right_lanes.append(a * len(lefts))
+        pairs = queued_lanes - len(unary_lanes)
+        if pairs and temporal_binary:
+            xs = int.from_bytes(b"".join(left_lanes), "little")
+            ys = int.from_bytes(b"".join(right_lanes), "little")
+            view = domain.lanes(pairs)
+            for k, row in temporal_binary:
+                lanes = _unpack(view.op(*row)(xs, ys), width, pairs)
+                at = 0
+                for _, unary, rights, lefts, sigs in queue:
+                    m = len(rights) + len(lefts)
+                    start = (n_unary if unary else 0) + k * m
+                    sigs[start:start + m] = lanes[at:at + m]
+                    at += m
+        if unary_lanes and temporal_unary:
+            xs = int.from_bytes(b"".join(unary_lanes), "little")
+            view = domain.lanes(len(unary_lanes))
+            for op, row in temporal_unary:
+                lanes = iter(_unpack(view.op(*row)(xs), width,
+                                     len(unary_lanes)))
+                for _, unary, _, _, sigs in queue:
+                    if unary:
+                        sigs[op] = next(lanes)
+        for share in queue:
+            settle(share)
+        queue.clear()
+        queued_lanes = 0
+
+    def settle(share):
+        nid, unary, rights, lefts, sigs = share
         distinct.update(sigs)
+        n_u = n_unary if unary else 0
+        n_r, n_l = len(rights), len(lefts)
         found = []
         for i in [i for i, sig in enumerate(sigs)
                   if sig & screen == pos_mask]:
@@ -434,12 +512,22 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                               compose, visit, visit_top)
     payloads = enum.payloads
     for cost in enum.run():
+        if cost == bound:
+            flush()
         if winners_at is None and winners.get(cost):
             break
+    flush()  # a search that stopped early still counts its final layer
     best_cost = min(winners) if winners else None
     stats = {"candidates_generated": enum.generated,
              "distinct_signatures": len(distinct)}
     return best_cost, winners.get(best_cost, []), enum, stats
+
+
+def _unpack(packed: int, width: int, k: int) -> list:
+    """The `k` lanes of `packed`, `width` bytes each, lowest lane first."""
+    raw = packed.to_bytes(k * width, "little")
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
 
 
 def _pick_witness(enum, triples, names, logic, rows):

@@ -14,6 +14,16 @@ left shift per distinct period length that carries each loop start onto the
 last class of its word.  On a deterministic structure E and A agree, so an
 LTL row is the CTL row of the same token.  For structures, EX labels the
 states that have a successor in the argument.
+
+`domain.lanes(k)` runs every row over `k` vectors at once, packed side by
+side into one int in lanes of `W` bits, `W` the domain's size rounded up to
+whole bytes.  Every step of a row is bitwise except EX, so a row is exact
+lane by lane as long as EX moves no bit across a lane boundary.  The lasso
+EX keeps that condition: after its right shift it masks off each word's
+last class and the lane's padding bits, where a bit of the next lane
+lands, and its loop-back shifts stay inside their word.  The structure EX
+keeps it because each lane's term is a predecessor mask within one
+structure, below 2^W.
 """
 
 from __future__ import annotations
@@ -98,6 +108,31 @@ class _Fixpoints:
         """The vector function of the operator row `(token, quantifier)`."""
         return OPERATOR_TABLE[token, quantifier](self)
 
+    @property
+    def lane_bytes(self) -> int:
+        """The width in bytes of one lane of :meth:`lanes`."""
+        return max(1, -(-self.size // 8))
+
+    def lanes(self, k: int):
+        """This domain repeated `k` times, lane `i` at bits `[i*W, (i+1)*W)`.
+
+        `W` is `8 * lane_bytes`, the domain's size rounded up to whole
+        bytes, so a lane packs and unpacks with `int.to_bytes` and
+        `int.from_bytes`.  `full` and the masks of EX are replicated by the
+        base-2^W repunit `((1 << k*W) - 1) // ((1 << W) - 1)`.  Every
+        operator row taken from the view with :meth:`op` then computes the
+        row lane by lane, because EX carries no bit across a lane boundary:
+        what the lasso EX shifts in from the next lane lands on a masked
+        bit, and each lane's term of the structure EX is below 2^W.  Only
+        `op`, `v_ex`, `v_eu` and `v_eg` are meant for a view.
+        """
+        width = 8 * self.lane_bytes
+        rep = ((1 << k * width) - 1) // ((1 << width) - 1)
+        view = object.__new__(type(self))  # no `__init__`: nothing is built
+        view.__dict__.update(self.__dict__, full=self.full * rep,
+                             **self._replicated(rep))
+        return view
+
     def unary(self, op: str, a: int) -> int:
         return OPERATOR_TABLE[op, None](self)(a)
 
@@ -132,6 +167,11 @@ class LtlDomain(_Fixpoints):
         # class of its word, whose successor it is.
         self._loops = tuple((mask, p - 1) for p, mask in loop_starts.items())
 
+    def _replicated(self, rep: int) -> dict:
+        return {"_body": self._body * rep,
+                "_loops": tuple((mask * rep, shift)
+                                for mask, shift in self._loops)}
+
     def prop_vector(self, name: str) -> int:
         v = 0
         for off, w in zip(self.start_bits, self.words):
@@ -141,7 +181,11 @@ class LtlDomain(_Fixpoints):
         return v
 
     def v_ex(self, a: int) -> int:
-        """X a: a lasso is a Kripke structure with one successor per class."""
+        """X a: a lasso is a Kripke structure with one successor per class.
+
+        The right shift moves each class onto its predecessor; `_body`
+        drops what lands on a word's last class or on lane padding.
+        """
         r = (a >> 1) & self._body
         for mask, shift in self._loops:
             r |= (a & mask) << shift
@@ -173,25 +217,31 @@ class CtlDomain(_Fixpoints):
 
     def __init__(self, structures):
         self.structures = tuple(structures)
-        self.succ = []
         self.init_masks = []
-        self.state_offsets = []
+        # Per structure: its offset, the mask of its states, and the
+        # predecessor mask of each state with a predecessor, both local.
+        self._blocks = []
         offset = 0
         for m in self.structures:
-            index = {s: offset + i for i, s in enumerate(m.states)}
-            masks = [0] * len(m.states)
+            index = {s: i for i, s in enumerate(m.states)}
+            preds = [0] * len(m.states)
             for a, b in m.edges:
-                masks[index[a] - offset] |= 1 << index[b]
-            self.succ.extend(masks)
+                preds[index[b]] |= 1 << index[a]
+            self._blocks.append((offset, (1 << len(m.states)) - 1,
+                                 [(j, p) for j, p in enumerate(preds) if p]))
             init = 0
             for s in m.initial:
-                init |= 1 << index[s]
+                init |= 1 << (offset + index[s])
             self.init_masks.append(init)
-            self.state_offsets.append(offset)
             offset += len(m.states)
         self.size = offset
         self.full = (1 << offset) - 1
-        self._all_states = range(offset)
+        self._rep = 1  # one lane
+
+    def _replicated(self, rep: int) -> dict:
+        return {"_rep": rep,
+                "_blocks": [(offset, mask * rep, preds)
+                            for offset, mask, preds in self._blocks]}
 
     def prop_vector(self, name: str) -> int:
         v = 0
@@ -204,10 +254,25 @@ class CtlDomain(_Fixpoints):
         return v
 
     def v_ex(self, s: int) -> int:
+        """EX s: the union of the predecessor masks of the states in `s`.
+
+        One structure at a time, in lane form: `block` holds the
+        structure's states at the bottom of each lane, `(block >> j) & rep`
+        has bit 0 of each lane set when that lane holds state `j`, and its
+        product with the state's predecessor mask, below 2^W, stays inside
+        the lane.  With one lane `rep` is 1, and shifting one structure's
+        block instead of the whole vector keeps the per-state steps on
+        short ints.
+        """
+        rep = self._rep
         r = 0
-        for i in self._all_states:
-            if self.succ[i] & s:
-                r |= 1 << i
+        for offset, mask, preds in self._blocks:
+            block = (s >> offset) & mask
+            if block:
+                acc = 0
+                for j, pred in preds:
+                    acc |= ((block >> j) & rep) * pred
+                r |= acc << offset
         return r
 
     def quant_unary(self, quantifier: str, op: str, a: int) -> int:
@@ -270,23 +335,32 @@ def check_ctl(f: Formula, structure: KripkeStructure) -> bool:
 
 
 def check_separating(f: Formula, sample: Sample) -> bool:
-    """Does `f` hold on every positive example and fail on every negative one?"""
+    """Does `f` hold on every positive example and fail on every negative one?
+
+    One domain over all the examples and one evaluation; each example is
+    then read off at its start class or its initial states.
+    """
+    examples = sample.positives + sample.negatives
     if sample.logic == LTL:
         if not is_ltl(f):
             raise ValueError("a branching-time formula cannot be checked "
                              "against a linear-time sample")
-        check = check_ltl
+        domain = LtlDomain(examples)
+        starts = [1 << bit for bit in domain.start_bits]
     else:
         if not is_ctl(f):
             raise ValueError("a linear-time formula cannot be checked "
                              "against a branching-time sample")
-        check = check_ctl
+        domain = CtlDomain(examples)
+        starts = domain.init_masks
     extra = prop_names(f) - sample.alphabet
     if extra:
         raise ValueError(f"formula uses {sorted(extra)[0]!r} outside the "
                          f"sample alphabet")
-    return (all(check(f, w) for w in sample.positives)
-            and not any(check(f, w) for w in sample.negatives))
+    v = domain.evaluate(f)
+    n_pos = len(sample.positives)
+    return (all(v & m == m for m in starts[:n_pos])
+            and not any(v & m == m for m in starts[n_pos:]))
 
 
 def naive_check_ltl(f: Formula, word: Word, position: int = 0) -> bool:

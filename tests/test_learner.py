@@ -305,6 +305,38 @@ class TestPruningUnderDagSize:
         out = learn(self.sample(), LearnConfig(bound=bound))
         assert out.decision and out.size == 3
 
+    def three_propositions(self):
+        """With three propositions the bug is common; this sample has the
+        size-4 separator `!(r -> X r)`."""
+        return Sample(["p", "q", "r"], "ltl",
+                      [word("{p,q,r} | {};{}")],
+                      [word("{p,q,r};{p,r} | {}"),
+                       word("{p,q};{} | {p,q,r};{}"),
+                       word("{p};{} | {}"), word("{} | {}")], bound=5)
+
+    def test_exhaustive_search_finds_the_three_proposition_witness(
+            self, monkeypatch):
+        # Its final layer overflows the lane cap of the packed temporal
+        # rows many times, so the search composes it in many flushes.
+        from templearn.learner import _LANE_CAP
+        from templearn.semantics import LtlDomain
+        lanes = []
+        real = LtlDomain.lanes
+        monkeypatch.setattr(LtlDomain, "lanes",
+                            lambda d, k: lanes.append(k) or real(d, k))
+        out = learn(self.three_propositions(),
+                    LearnConfig(dedup=DedupMode.NONE))
+        assert out.decision and out.size == 4
+        assert out.witness == parse_ltl("!(r -> X r)")
+        assert out.stats["candidates_generated"] == 688143
+        assert len(lanes) > 10 and max(lanes) >= _LANE_CAP
+
+    @pytest.mark.xfail(strict=True, reason="pruning is unsound under DAG "
+                       "size (ROADMAP item 1): no formula at bound 4")
+    def test_pruned_search_finds_the_three_proposition_witness(self):
+        out = learn(self.three_propositions(), LearnConfig(bound=4))
+        assert out.decision and out.size == 4
+
 
 class TestCtlLearning:
     def structures(self):

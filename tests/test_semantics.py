@@ -10,9 +10,11 @@ from templearn import (
     satisfaction_vector,
 )
 from templearn.formulas import (
-    QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
+    QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS, UNARY_OPS,
 )
-from templearn.semantics import LtlDomain, satisfying_states
+from templearn.semantics import (
+    OPERATOR_TABLE, CtlDomain, LtlDomain, satisfying_states,
+)
 
 
 def word(text):
@@ -173,6 +175,93 @@ class TestMultiWordDomain:
                             str(f), str(w), i)
 
 
+def words_of_size(rng, props, n):
+    """Random words, prefix 0-4 and period 1-4, of `n` classes in all."""
+    words = []
+    while n:
+        prefix = rng.randint(0, min(4, n - 1))
+        period = rng.randint(1, min(4, n - prefix))
+        words.append(Word(
+            [rng.sample(props, rng.randint(0, len(props)))
+             for _ in range(prefix)],
+            [rng.sample(props, rng.randint(0, len(props)))
+             for _ in range(period)]))
+        n -= prefix + period
+    return words
+
+
+def random_structure(rng, props, n):
+    """A random total structure of `n` states, several of them initial."""
+    states = [f"s{i}" for i in range(n)]
+    edges = [(s, t) for s in states
+             for t in rng.sample(states, rng.randint(1, min(3, n)))]
+    return KripkeStructure(
+        states, rng.sample(states, rng.randint(1, n)), edges,
+        [rng.sample(props, rng.randint(0, len(props))) for _ in states])
+
+
+def structures_of_size(rng, props, n):
+    out = []
+    while n:
+        m = rng.randint(1, min(5, n))
+        out.append(random_structure(rng, props, m))
+        n -= m
+    return out
+
+
+class TestLanes:
+    """`domain.lanes(k)` computes every operator row on `k` vectors packed
+    side by side in byte-aligned lanes, exactly as the row computes each
+    vector on its own."""
+
+    SIZES = (1, 8, 16, 3, 13, 29)  # 1, multiples of 8, and others
+
+    @staticmethod
+    def pack(vectors, width):
+        packed = 0
+        for i, v in enumerate(vectors):
+            packed |= v << (i * width)
+        return packed
+
+    @staticmethod
+    def unpack(packed, width, k):
+        return [(packed >> (i * width)) & ((1 << width) - 1)
+                for i in range(k)]
+
+    def check_rows(self, rng, domain):
+        width = 8 * -(-domain.size // 8)
+        assert domain.lane_bytes * 8 == width
+        for k in (1, 2, 7, 300):
+            view = domain.lanes(k)
+            xs = [rng.getrandbits(domain.size) for _ in range(k)]
+            ys = [rng.getrandbits(domain.size) for _ in range(k)]
+            x, y = self.pack(xs, width), self.pack(ys, width)
+            for token, q in OPERATOR_TABLE:
+                row, lane_row = domain.op(token, q), view.op(token, q)
+                if token in UNARY_OPS:
+                    expected = [row(a) for a in xs]
+                    got = lane_row(x)
+                else:
+                    expected = [row(a, b) for a, b in zip(xs, ys)]
+                    got = lane_row(x, y)
+                assert got >> (k * width) == 0, (token, q, k)
+                assert self.unpack(got, width, k) == expected, (
+                    token, q, k, domain.size)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_lasso_lanes_match_each_vector(self, size):
+        rng = random.Random(size)
+        for _ in range(3):
+            self.check_rows(rng, LtlDomain(words_of_size(rng, ["p"], size)))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_structure_lanes_match_each_vector(self, size):
+        rng = random.Random(100 + size)
+        for _ in range(3):
+            self.check_rows(rng, CtlDomain(
+                structures_of_size(rng, ["p"], size)))
+
+
 def lasso_structure(w):
     """The deterministic Kripke structure of a lasso: one state per suffix
     class, each with its `next_class` as only successor."""
@@ -318,3 +407,24 @@ class TestCheckSeparating:
         s = Sample(["p"], "ltl", [word("| {p}")], [])
         with pytest.raises(ValueError, match="outside"):
             check_separating(parse_ltl("p | zz"), s)
+
+    def test_agrees_with_one_check_per_example(self):
+        # One domain over the whole sample reads each example off at its
+        # own start: the start class, or all of its initial states.
+        rng = random.Random(23)
+        for _ in range(150):
+            f = random_ltl(rng, ["p", "q"], 5)
+            words = list(dict.fromkeys(random_word(rng, ["p", "q"])
+                                       for _ in range(rng.randint(1, 8))))
+            ltl = Sample(["p", "q"], "ltl", words[::2], words[1::2])
+            assert check_separating(f, ltl) == (
+                all(check_ltl(f, w) for w in ltl.positives)
+                and not any(check_ltl(f, w) for w in ltl.negatives))
+            g = insert_quantifiers(f, rng.choice(QUANTIFIERS))
+            ms = list(dict.fromkeys(
+                random_structure(rng, ["p", "q"], rng.randint(1, 4))
+                for _ in range(rng.randint(1, 6))))
+            ctl = Sample(["p", "q"], "ctl", ms[::2], ms[1::2])
+            assert check_separating(g, ctl) == (
+                all(check_ctl(g, m) for m in ctl.positives)
+                and not any(check_ctl(g, m) for m in ctl.negatives))

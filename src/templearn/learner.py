@@ -17,19 +17,29 @@ jointly cover every operator application exactly once:
 * incomparable pairs — scheduled when the younger operand is registered, at
   the exact layer `|union| + 1`.
 
+Each layer below the bound (at bound 1, the seeds) is composed in one
+pass: one comprehension over the operator functions, one update of the
+distinct set and one screen for separating signatures.  Only the candidates
+that are kept are registered, in layer order, because that order decides
+which of several same-signature candidates is kept: in SEMANTIC mode the
+first of each new signature, and none from the layer's first separating
+candidate on, so that a search that has its answer expands nothing further.
+
 Candidates of exactly the bound are never registered, yet they are most of
 the search.  Each registration hands its share of them over at once, as
-lists of operand ids.  The search composes each boolean connective over a
-whole share in one comprehension.  A share with temporal operators waits in
-a queue, and a flush runs each temporal row of the operator table once over
-every queued operand pair, packed side by side in the lanes of one int
-(`domain.lanes`): one fixpoint on a wide vector instead of one per pair.
-The queue is flushed when it holds `_LANE_CAP` lanes, when the search
-reaches the final layer, and once after the last layer.  Each share's
-signatures then go to the distinct set in one update and are screened with
-one mask of start positions before the full separation test.  The lower
-layers stay one candidate at a time, because their order decides which of
-several same-signature candidates is kept.
+lists of operand ids.  A partner of a registration two below the bound
+completes it in the final layer when the partner lies outside its closure
+and the partner's operands inside, so those partners are looked up by their
+operands rather than found by a popcount over every earlier candidate.  The
+search composes each boolean connective over a whole share in one
+comprehension.  A share with temporal operators waits in a queue, and a
+flush runs each temporal row of the operator table once over every queued
+operand pair, packed side by side in the lanes of one int (`domain.lanes`):
+one fixpoint on a wide vector instead of one per pair.  The queue is flushed
+when it holds `_LANE_CAP` lanes, when the search reaches the final layer,
+and once after the last layer.  Each share's signatures then go to the
+distinct set in one update and are screened with one mask of start positions
+before the full separation test.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -116,13 +126,19 @@ def _bit_ids(bits: int) -> list:
 class ClosureEnumeration:
     """Layered generation of all operator applications over a seed set.
 
-    Every candidate below ``max_size`` is reported through ``visit(cost,
-    opcode, left, right, payload)``; a True return registers it (assigning
-    the next dense id, so it can be used as an operand later).  Seeds are
-    visited with opcode -1 and ``left`` = seed index.  Payloads are composed
-    by ``compose(opcode, a, b)`` with ``b`` None for unary opcodes (opcodes
-    below ``n_unary``).  ``closures[i]`` is the bitset of the ids of the
-    proper sub-formulas of candidate ``i``.
+    A candidate is a triple ``(opcode, left, right)`` over the ids of
+    registered candidates; ``right`` is -1 for unary opcodes (those below
+    ``n_unary``), and seed ``i`` is ``(-1, i, -1)``.  ``run()`` hands each
+    cost layer, the seeds as layer 1, to ``layer(cost, triples)`` in one
+    call, in schedule order.  Below ``max_size`` that is every layer; at
+    ``max_size`` only the seeds, when ``max_size`` is 1.  The callback
+    returns ``(keep, payloads)``: the increasing positions of the triples
+    to register and their payloads (:meth:`compose` computes a layer's).
+    Registering gives a candidate the next dense id and, below
+    ``max_size``, schedules its applications, so a callback stops the
+    search from expanding by keeping nothing from some position on.
+    ``closures[i]`` is the bitset of the ids of the proper sub-formulas of
+    candidate ``i``.
 
     Candidates of exactly ``max_size`` are never registered.  They form the
     final and by far the largest layer, so they are not materialized one by
@@ -134,22 +150,17 @@ class ClosureEnumeration:
     ``lefts`` is ``rights`` or, when that ends with ``nid`` itself,
     ``rights[:-1]``.  :meth:`top_triples` lists a share in schedule order.
 
-    ``run()`` yields each completed cost layer.  Setting ``stop_expansion``
-    suppresses all further scheduling; already-scheduled candidates are
-    still visited.
+    ``run()`` yields each completed cost layer, ``max_size`` included.
     """
 
-    def __init__(self, seed_payloads, n_unary, n_binary, max_size, compose,
-                 visit, visit_top):
+    def __init__(self, seed_payloads, n_unary, n_binary, max_size, layer,
+                 visit_top):
         self.seed_payloads = list(seed_payloads)
         self.n_unary = n_unary
         self.n_ops = n_unary + n_binary
         self.max_size = max_size
-        self.compose = compose
-        self.visit = visit
+        self.layer = layer
         self.visit_top = visit_top
-        self.stop_expansion = False
-        self.current_cost = 0
         self.generated = 0
         self.payloads: list = []
         self.closures: list = []
@@ -157,34 +168,43 @@ class ClosureEnumeration:
         self.builds: list = []  # (opcode, left, right); seeds (-1, index, -1)
         self._pairable: list = []
         self._pairable_closures: list = []  # each including the id itself
+        # Pairable ids by their operands: (-1, -1) for seeds, (-1, a) for
+        # unary and (min, max) for binary candidates.
+        self._by_operands: dict = {}
         self._buckets: list = []
 
     def run(self):
         ms = self.max_size
         if ms < 1:
             return
-        self._buckets = [[] for _ in range(ms + 1)]  # the last stays empty
-        self.current_cost = 1
-        for idx, payload in enumerate(self.seed_payloads):
-            self.generated += 1
-            if self.visit(1, -1, idx, -1, payload):
-                self._register(-1, idx, -1, payload, 0, 1)
-        yield 1
-        payloads = self.payloads
+        buckets = self._buckets = [[] for _ in range(ms + 1)]
+        buckets[1] = [(-1, i, -1) for i in range(len(self.seed_payloads))]
         closures = self.closures
-        for cost in range(2, ms + 1):
-            self.current_cost = cost
-            for opcode, left, right in self._buckets[cost]:
-                payload = self.compose(opcode, payloads[left],
-                                       None if right < 0 else payloads[right])
-                self.generated += 1
-                if self.visit(cost, opcode, left, right, payload):
-                    union = closures[left] | 1 << left
-                    if right >= 0:
-                        union |= closures[right] | 1 << right
-                    self._register(opcode, left, right, payload, union, cost)
-            self._buckets[cost] = None
+        for cost in range(1, ms + 1):
+            triples = buckets[cost]
+            buckets[cost] = None
+            if triples:  # the last bucket stays empty
+                self.generated += len(triples)
+                keep, payloads = self.layer(cost, triples)
+                for i, payload in zip(keep, payloads):
+                    opcode, left, right = triples[i]
+                    union = 0
+                    if opcode >= 0:
+                        union = closures[left] | 1 << left
+                        if right >= 0:
+                            union |= closures[right] | 1 << right
+                    self._register(opcode, left, right, payload, union,
+                                   cost)
             yield cost
+
+    def compose(self, fns, triples) -> list:
+        """The payloads of a layer's triples: the seeds' own, or
+        ``fns[opcode]`` applied to the operands' payloads."""
+        if triples and triples[0][0] < 0:
+            return self.seed_payloads
+        pay = self.payloads
+        return [fns[op](pay[a]) if b < 0 else fns[op](pay[a], pay[b])
+                for op, a, b in triples]
 
     def _register(self, opcode, left, right, payload, union, cost):
         nid = len(self.payloads)
@@ -193,7 +213,7 @@ class ClosureEnumeration:
         self.costs.append(cost)
         self.builds.append((opcode, left, right))
         ms = self.max_size
-        if self.stop_expansion or cost == ms:
+        if cost == ms:
             return
         binary = range(self.n_unary, self.n_ops)
         subs = _bit_ids(union) if binary else []
@@ -215,19 +235,32 @@ class ClosureEnumeration:
         # their union's size plus one; the union has this closure's own
         # size exactly when the partner lies inside the closure.
         closure = union | 1 << nid
-        counts = [(closure | c).bit_count() for c in self._pairable_closures]
         pairable = self._pairable
-        if cost < ms - 2:  # else every union reaches the final layer
+        by_operands = self._by_operands
+        if cost < ms - 2:
+            counts = [(closure | c).bit_count()
+                      for c in self._pairable_closures]
             for g, k in zip(pairable, counts):
                 if cost < k < ms - 1:
                     self._buckets[k + 1] += [t for op in binary for t in
                                              ((op, nid, g), (op, g, nid))]
-        top = [g for g, k in zip(pairable, counts) if k == ms - 1]
+            top = [g for g, k in zip(pairable, counts) if k == ms - 1]
+        else:
+            # Every union reaches the final layer, and it is one id larger
+            # than the closure when the partner lies outside the closure
+            # and its operands inside: closures are down-closed.
+            ids = [-1, *subs]
+            top = sorted(g for i, a in enumerate(ids) for b in ids[i:]
+                         for g in by_operands.get((a, b), ())
+                         if not union >> g & 1)
         if top:
             self.generated += 2 * len(binary) * len(top)
             self.visit_top(nid, False, top, top)
         pairable.append(nid)
         self._pairable_closures.append(closure)
+        key = ((-1, -1) if opcode < 0 else (-1, left) if right < 0
+               else (min(left, right), max(left, right)))
+        by_operands.setdefault(key, []).append(nid)
 
     def top_triples(self, nid, unary, rights, lefts):
         """The (opcode, left, right) triples of one ``visit_top`` share, in
@@ -377,27 +410,39 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                        if row[0] in TEMPORAL_BINARY_OPS]
     full = domain.full
 
-    def compose(opcode, a, b):
-        return fns[opcode](a) if b is None else fns[opcode](a, b)
-
     seed_sigs = [domain.prop_vector(name) for name in names]
     winners: dict = {}
     kept_sigs: set = set()
     distinct: set = set()
 
-    def visit(cost, opcode, left, right, sig):
-        distinct.add(sig)
-        if (sig & screen == pos_mask and is_separating(sig)
-                and (winners_at is None or cost == winners_at)):
-            winners.setdefault(cost, []).append((opcode, left, right))
-            if winners_at is None and cost == enum.current_cost:
-                enum.stop_expansion = True
+    def hits(sigs):
+        # Counts a batch of signatures; the positions of those that separate.
+        distinct.update(sigs)
+        return [i for i, sig in enumerate(sigs)
+                if sig & screen == pos_mask and is_separating(sig)]
+
+    def layer(cost, triples):
+        # Every separating candidate of the layer wins.  Without a fixed
+        # winning cost, registration stops at the first of them, so that
+        # nothing past it is expanded.
+        sigs = enum.compose(fns, triples)
+        n = stop = len(sigs)
+        if winners_at is None or cost == winners_at:
+            found = hits(sigs)
+            if found:
+                winners[cost] = [triples[i] for i in found]
+                if winners_at is None:
+                    stop = found[0]
+        else:
+            distinct.update(sigs)
         if not semantic:
-            return True
-        if sig in kept_sigs:
-            return False
-        kept_sigs.add(sig)
-        return True
+            return range(stop), sigs
+        # The first candidate of each signature that is new, in layer order.
+        first = dict(zip(reversed(sigs), range(n - 1, -1, -1)))
+        keep = sorted(i for sig, i in first.items()
+                      if i < stop and sig not in kept_sigs)
+        kept_sigs.update(first)
+        return keep, [sigs[i] for i in keep]
 
     queue: list = []  # shares whose temporal slots await the next flush
     queued_lanes = 0  # their operand pairs, plus their unary heads
@@ -492,24 +537,21 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
 
     def settle(share):
         nid, unary, rights, lefts, sigs = share
-        distinct.update(sigs)
         n_u = n_unary if unary else 0
         n_r, n_l = len(rights), len(lefts)
         found = []
-        for i in [i for i, sig in enumerate(sigs)
-                  if sig & screen == pos_mask]:
-            if is_separating(sigs[i]):
-                if i < n_u:
-                    found.append((i, nid, -1))
-                    continue
-                k, j = divmod(i - n_u, n_r + n_l)
-                found.append((n_unary + k, nid, rights[j]) if j < n_r
-                             else (n_unary + k, lefts[j - n_r], nid))
+        for i in hits(sigs):
+            if i < n_u:
+                found.append((i, nid, -1))
+                continue
+            k, j = divmod(i - n_u, n_r + n_l)
+            found.append((n_unary + k, nid, rights[j]) if j < n_r
+                         else (n_unary + k, lefts[j - n_r], nid))
         if found:  # the final layer's cost is the bound (or `winners_at`)
             winners.setdefault(bound, []).extend(found)
 
     enum = ClosureEnumeration(seed_sigs, n_unary, len(binary_rows), bound,
-                              compose, visit, visit_top)
+                              layer, visit_top)
     payloads = enum.payloads
     for cost in enum.run():
         if cost == bound:
@@ -668,28 +710,21 @@ def enumerate_formulas(alphabet, max_size, operators: OperatorSet | None = None,
 
 def _enumerate(names, max_size, logic, rows):
     builders = _builders(logic, rows)
-
-    def compose(opcode, a, b):
-        return builders[opcode](a) if b is None else builders[opcode](a, b)
-
-    layer: list = []
+    layers: list = []  # the formulas of the layer just completed
     top: list = []  # final-layer triples, in schedule order
 
-    def visit(cost, opcode, left, right, payload):
-        layer.append(payload)
-        return True
+    def layer(cost, triples):
+        layers.append(enum.compose(builders, triples))
+        return range(len(triples)), layers[-1]
 
     def visit_top(*share):
         top.extend(enum.top_triples(*share))
 
     enum = ClosureEnumeration([Prop(n) for n in names], len(rows[0]),
-                              len(rows[1]), max_size, compose, visit,
-                              visit_top)
-    payloads = enum.payloads
+                              len(rows[1]), max_size, layer, visit_top)
     for cost in enum.run():
         if cost == max_size:
-            layer.extend(compose(op, payloads[a],
-                                 None if b < 0 else payloads[b])
-                         for op, a, b in top)
-        yield from layer
-        layer.clear()
+            layers.append(enum.compose(builders, top))
+        for formulas in layers:
+            yield from formulas
+        layers.clear()

@@ -331,9 +331,6 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     binary_actions = [_TR_BINARY_ACTION[op] for op, _ in binary_rows]
     binary_tokens = [op for op, _ in binary_rows]
 
-    def compose(opcode, a, b):
-        return fns[opcode](a) if b is None else fns[opcode](a, b)
-
     tf = _TemporalFreeUniverse(dom, props)
     tf_sigs, tf_closures = tf.sigs, tf.closures
 
@@ -452,25 +449,25 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
 
         return (mask, is_concise, is_temporal, trid, trimage), closure_ids
 
-    def visit(cost, opcode, left, right, sig):
-        # Below the final layer every visited formula is registered, under
-        # the next id.
-        record, closure_ids = check(cost, opcode, left, right, sig)
-        for column, value in zip(columns, record):
-            column.append(value)
-        closures.append(frozenset(closure_ids) | {len(closures)})
-        return True
+    def layer(cost, triples):
+        # Below the final layer every formula is registered, in layer order.
+        sigs = enum.compose(fns, triples)
+        for (opcode, left, right), sig in zip(triples, sigs):
+            record, closure_ids = check(cost, opcode, left, right, sig)
+            for column, value in zip(columns, record):
+                column.append(value)
+            closures.append(frozenset(closure_ids) | {len(closures)})
+        return range(len(sigs)), sigs
 
     def visit_top(*share):
-        payloads = enum.payloads
-        for opcode, left, right in enum.top_triples(*share):
-            check(max_size, opcode, left, right,
-                  compose(opcode, payloads[left],
-                          None if right < 0 else payloads[right]))
+        triples = list(enum.top_triples(*share))
+        for (opcode, left, right), sig in zip(triples,
+                                              enum.compose(fns, triples)):
+            check(max_size, opcode, left, right, sig)
 
     seeds = [dom.prop_vector(name) for name in props]
     enum = ClosureEnumeration(seeds, n_unary, len(binary_rows), max_size,
-                              compose, visit, visit_top)
+                              layer, visit_top)
     for _ in enum.run():
         pass
 

@@ -1,5 +1,6 @@
 """Minimal separating formula search."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from templearn import (
     learn, parse_ctl, parse_ltl, print_formula, reduce_ltl_to_ctl,
     reduce_sat, size, verify,
 )
+from templearn.formulas import LtlBinary, LtlUnary, Prop, subformulas
 
 
 def word(text):
@@ -112,9 +114,12 @@ class TestExactlyMode:
         assert verify(out.witness, self.sample(), cfg)
 
     def test_exact_one(self):
-        cfg = LearnConfig(bound=1, bound_mode=BoundMode.EXACTLY)
-        out = learn(self.sample(), cfg)
-        assert out.decision and out.witness == parse_ltl("p")
+        # At bound 1 the seeds are the bound's own layer.
+        for dedup in DedupMode:
+            cfg = LearnConfig(bound=1, bound_mode=BoundMode.EXACTLY,
+                              dedup=dedup)
+            out = learn(self.sample(), cfg)
+            assert out.decision and out.witness == parse_ltl("p"), dedup
 
     def test_exact_without_dedup(self):
         cfg = LearnConfig(bound=3, bound_mode=BoundMode.EXACTLY,
@@ -374,6 +379,22 @@ class TestCtlLearning:
         assert fast.decision == slow.decision and fast.size == slow.size
 
 
+def naive_formulas(props, ops, bound):
+    """Every LTL formula over `props` and `ops` with at most `bound`
+    distinct sub-formulas, as the fixpoint of applying every operator to the
+    members of a set that starts with the propositions."""
+    found = {Prop(p) for p in props}
+    while True:
+        operands = [f for f in found if len(subformulas(f)) < bound]
+        new = {LtlUnary(op, f) for op in ops.unary for f in operands}
+        new |= {LtlBinary(op, f, g) for op in ops.binary
+                for f in operands for g in operands}
+        new = {f for f in new if len(subformulas(f)) <= bound} - found
+        if not new:
+            return found
+        found |= new
+
+
 class TestEnumeration:
     def test_layer_counts_two_props(self):
         fs = list(enumerate_formulas(["p", "q"], 3))
@@ -412,6 +433,30 @@ class TestEnumeration:
         # forms with both operands p, and 4 logical combinations of p
         # with itself.
         assert len(fs) == 1 + 19
+
+    # sha256 of the printed formulas, one a line, in enumeration order.
+    @pytest.mark.parametrize("props, bound, logic, count, digest", [
+        (["p", "q"], 4, "ltl", 33482, "0ab5b215814107a44069513e7433c231"
+                                      "dbba4cbb269a9979d97f40b7a717894f"),
+        (["p"], 3, "ctl", 837, "223db1ea6dd003639ec181ea1d70abac"
+                               "404b96e35b91cf36095698044b9f6546"),
+    ], ids=["ltl-p-q-4", "ctl-p-3"])
+    def test_enumeration_order_is_pinned(self, props, bound, logic, count,
+                                         digest):
+        texts = [print_formula(f)
+                 for f in enumerate_formulas(props, bound, logic=logic)]
+        assert len(texts) == count
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("props, names", [
+        (["p", "q"], ["NOT", "X", "AND", "U"]),
+        (["p"], ["NOT", "X", "G", "AND", "OR", "U"]),
+    ], ids=["p-q", "p"])
+    def test_each_formula_up_to_size_four_exactly_once(self, props, names):
+        ops = OperatorSet.from_names(names)
+        fs = list(enumerate_formulas(props, 4, operators=ops))
+        assert len(set(fs)) == len(fs)
+        assert set(fs) == naive_formulas(props, ops, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="alphabet"):

@@ -31,15 +31,15 @@ lists of operand ids.  A partner of a registration two below the bound
 completes it in the final layer when the partner lies outside its closure
 and the partner's operands inside, so those partners are looked up by their
 operands rather than found by a popcount over every earlier candidate.  The
-search composes each boolean connective over a whole share in one
-comprehension.  A share with temporal operators waits in a queue, and a
-flush runs each temporal row of the operator table once over every queued
-operand pair, packed side by side in the lanes of one int (`domain.lanes`):
-one fixpoint on a wide vector instead of one per pair.  The queue is flushed
-when it holds `_LANE_CAP` lanes, when the search reaches the final layer,
-and once after the last layer.  Each share's signatures then go to the
-distinct set in one update and are screened with one mask of start positions
-before the full separation test.
+shares only queue their operand ids; a flush runs each operator row of the
+table once over every queued operand pair (or operand, for a unary row),
+packed side by side in the lanes of one int (`domain.lanes`): one bitwise
+step or one fixpoint on a wide vector instead of one per candidate.  Each
+row's lanes go to the distinct set in one update, and the screen of start
+positions runs on the packed vector, so that only the lanes that pass it
+get the full separation test.  The queue is flushed when it
+holds `_LANE_CAP` lanes, when the search reaches the final layer, and once
+after the last layer.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -60,13 +60,15 @@ as the reference oracle that the test suite checks SEMANTIC mode against.
 
 from __future__ import annotations
 
+import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 
 from .formulas import (
-    AND, IFF, IMPLIES, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    AND, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
     LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
     UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
@@ -384,9 +386,9 @@ def _build_domain(sample: Sample):
     return domain, pos_mask, screen, is_separating, trivial
 
 
-# How many lanes (operand pairs, plus one per share with unary rows) the
-# final layer queues for its packed temporal rows before a flush; it bounds
-# the memory that the queued shares hold.
+# How many lanes (operand pairs, plus one operand per share with unary rows)
+# the final layer queues before a flush; it bounds the memory that the
+# queued ids and each row's packed and unpacked lanes hold.
 _LANE_CAP = 4096
 
 
@@ -400,41 +402,28 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     """
     unary_rows, binary_rows = rows
     n_unary = len(unary_rows)
-    fns = [domain.op(*row) for row in unary_rows + binary_rows]
-    # The temporal rows, each with its index among the unary or the binary
-    # rows; NOT, when allowed, is unary row 0.
-    has_not = (NOT, None) in unary_rows
-    temporal_unary = [(op, row) for op, row in enumerate(unary_rows)
-                      if row[0] != NOT]
-    temporal_binary = [(k, row) for k, row in enumerate(binary_rows)
-                       if row[0] in TEMPORAL_BINARY_OPS]
-    full = domain.full
+    all_rows = unary_rows + binary_rows
+    fns = [domain.op(*row) for row in all_rows]
 
     seed_sigs = [domain.prop_vector(name) for name in names]
     winners: dict = {}
     kept_sigs: set = set()
     distinct: set = set()
 
-    def hits(sigs):
-        # Counts a batch of signatures; the positions of those that separate.
-        distinct.update(sigs)
-        return [i for i, sig in enumerate(sigs)
-                if sig & screen == pos_mask and is_separating(sig)]
-
     def layer(cost, triples):
         # Every separating candidate of the layer wins.  Without a fixed
         # winning cost, registration stops at the first of them, so that
         # nothing past it is expanded.
         sigs = enum.compose(fns, triples)
+        distinct.update(sigs)
         n = stop = len(sigs)
         if winners_at is None or cost == winners_at:
-            found = hits(sigs)
+            found = [i for i, sig in enumerate(sigs)
+                     if sig & screen == pos_mask and is_separating(sig)]
             if found:
                 winners[cost] = [triples[i] for i in found]
                 if winners_at is None:
                     stop = found[0]
-        else:
-            distinct.update(sigs)
         if not semantic:
             return range(stop), sigs
         # The first candidate of each signature that is new, in layer order.
@@ -444,111 +433,59 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         kept_sigs.update(first)
         return keep, [sigs[i] for i in keep]
 
-    queue: list = []  # shares whose temporal slots await the next flush
-    queued_lanes = 0  # their operand pairs, plus their unary heads
+    # The final layer's queue: lane `i` of every binary row is the pair
+    # `(left_ids[i], right_ids[i])`, and of every unary row `unary_ids[i]`.
+    left_ids: list = []
+    right_ids: list = []
+    unary_ids: list = []
     encoded: list = []  # payloads[i] as one lane's bytes
     width = domain.lane_bytes
+    bits = 8 * width
 
     def visit_top(nid, unary, rights, lefts):
-        # One comprehension per boolean operator over the whole share, laid
-        # out as: unary rows, then per binary row `nid • rights` and
-        # `lefts • nid` (`lefts` is a prefix of `rights`, so a commuting
-        # • reuses the first half).  Temporal slots stay None until `flush`.
-        nonlocal queued_lanes
-        a = payloads[nid]
-        sigs = [None] * n_unary if unary else []
-        if unary and has_not:
-            sigs[0] = full ^ a
-        n_l = len(lefts)
-        bs = [payloads[d] for d in rights]
-        cs = bs[:n_l]
-        blank = [None] * (len(bs) + n_l)
-        na = full ^ a
-        for token, _ in binary_rows:
-            if token == AND:
-                out = [a & b for b in bs]
-            elif token == OR:
-                out = [a | b for b in bs]
-            elif token == IFF:
-                out = [na ^ b for b in bs]
-            elif token == IMPLIES:
-                sigs += [na | b for b in bs]
-                sigs += [(full ^ b) | a for b in cs]
-                continue
-            else:
-                sigs += blank
-                continue
-            sigs += out
-            sigs += out[:n_l]
-        share = (nid, unary, rights, lefts, sigs)
-        if not ((unary and temporal_unary) or (blank and temporal_binary)):
-            settle(share)
-            return
-        queue.append(share)
-        queued_lanes += len(blank) + unary
-        if queued_lanes >= _LANE_CAP:
+        # The pairs `(nid, d)` for `d` in `rights` and `(d, nid)` for `d` in
+        # `lefts`, and `nid` itself when the share has unary rows.
+        if unary:
+            unary_ids.append(nid)
+        left_ids.extend([nid] * len(rights))
+        left_ids.extend(lefts)
+        right_ids.extend(rights)
+        right_ids.extend([nid] * len(lefts))
+        if len(left_ids) + len(unary_ids) >= _LANE_CAP:
             flush()
 
     def flush():
-        # One packed call per temporal row over every queued share: binary
-        # rows take the pairs `(nid, d)` and `(d, nid)` of all shares as
-        # lanes, unary rows the `nid` of every share with unary opcodes.
-        nonlocal queued_lanes
-        if not queue:
-            return
+        # One packed call per operator row over every queued lane.  Every
+        # lane's signature goes to the distinct set; the screen runs on the
+        # packed vector, and only the lanes that pass it get the full test.
         encoded.extend(p.to_bytes(width, "little")
                        for p in payloads[len(encoded):])
-        left_lanes, right_lanes, unary_lanes = [], [], []  # as bytes
-        for nid, unary, rights, lefts, _ in queue:
-            a = encoded[nid]
-            if unary:
-                unary_lanes.append(a)
-            bs = [encoded[d] for d in rights]
-            left_lanes.append(a * len(rights))
-            left_lanes += bs[:len(lefts)]
-            right_lanes += bs
-            right_lanes.append(a * len(lefts))
-        pairs = queued_lanes - len(unary_lanes)
-        if pairs and temporal_binary:
-            xs = int.from_bytes(b"".join(left_lanes), "little")
-            ys = int.from_bytes(b"".join(right_lanes), "little")
-            view = domain.lanes(pairs)
-            for k, row in temporal_binary:
-                lanes = _unpack(view.op(*row)(xs, ys), width, pairs)
-                at = 0
-                for _, unary, rights, lefts, sigs in queue:
-                    m = len(rights) + len(lefts)
-                    start = (n_unary if unary else 0) + k * m
-                    sigs[start:start + m] = lanes[at:at + m]
-                    at += m
-        if unary_lanes and temporal_unary:
-            xs = int.from_bytes(b"".join(unary_lanes), "little")
-            view = domain.lanes(len(unary_lanes))
-            for op, row in temporal_unary:
-                lanes = iter(_unpack(view.op(*row)(xs), width,
-                                     len(unary_lanes)))
-                for _, unary, _, _, sigs in queue:
-                    if unary:
-                        sigs[op] = next(lanes)
-        for share in queue:
-            settle(share)
-        queue.clear()
-        queued_lanes = 0
-
-    def settle(share):
-        nid, unary, rights, lefts, sigs = share
-        n_u = n_unary if unary else 0
-        n_r, n_l = len(rights), len(lefts)
         found = []
-        for i in hits(sigs):
-            if i < n_u:
-                found.append((i, nid, -1))
+        for opcodes, lefts, rights in ((range(n_unary), unary_ids, None),
+                                       (range(n_unary, len(fns)), left_ids,
+                                        right_ids)):
+            k = len(lefts)
+            if not (k and opcodes):
                 continue
-            k, j = divmod(i - n_u, n_r + n_l)
-            found.append((n_unary + k, nid, rights[j]) if j < n_r
-                         else (n_unary + k, lefts[j - n_r], nid))
+            xs = [int.from_bytes(b"".join(map(encoded.__getitem__, ids)),
+                                 "little")
+                  for ids in (lefts, rights) if ids is not None]
+            view = domain.lanes(k)
+            rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
+            screens, wants = screen * rep, pos_mask * rep
+            for op in opcodes:
+                packed = view.op(*all_rows[op])(*xs)
+                sigs = _unpack(packed, width, k)
+                distinct.update(sigs)
+                found += [(op, lefts[i], -1 if rights is None else rights[i])
+                          for i in _zero_lanes((packed & screens) ^ wants,
+                                               width, rep)
+                          if is_separating(sigs[i])]
         if found:  # the final layer's cost is the bound (or `winners_at`)
             winners.setdefault(bound, []).extend(found)
+        left_ids.clear()
+        right_ids.clear()
+        unary_ids.clear()
 
     enum = ClosureEnumeration(seed_sigs, n_unary, len(binary_rows), bound,
                               layer, visit_top)
@@ -565,11 +502,42 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     return best_cost, winners.get(best_cost, []), enum, stats
 
 
+# The `memoryview` format of a lane of 1, 2, 4 or 8 bytes, on hosts that
+# store integers little-endian; other lanes are read one at a time.
+_LANE_FORMATS = ({struct.calcsize(c): c for c in "QIHB"}
+                 if sys.byteorder == "little" else {})
+
+
 def _unpack(packed: int, width: int, k: int) -> list:
     """The `k` lanes of `packed`, `width` bytes each, lowest lane first."""
     raw = packed.to_bytes(k * width, "little")
+    fmt = _LANE_FORMATS.get(width)
+    if fmt:
+        return memoryview(raw).cast(fmt).tolist()
     return [int.from_bytes(raw[i:i + width], "little")
             for i in range(0, len(raw), width)]
+
+
+def _zero_lanes(z: int, width: int, rep: int) -> list:
+    """The increasing indices of the lanes of `z` that are zero.
+
+    Lanes are `width` bytes wide and `rep` is their repunit.  Adding `low`,
+    all of each lane's bits below its top bit, sets a lane's top bit when
+    one of those bits is set, and carries nothing into the next lane; OR-ing
+    `z` back adds the top bit itself.  So `high & ~(...)` keeps the top bit
+    of exactly the zero lanes, whatever their top bits hold.  Shifted to
+    bit 0 it lies in the lane's lowest byte, where `bytes.find` finds it.
+    """
+    high = rep << (8 * width - 1)
+    low = high - rep
+    flags = (high & ~(((z & low) + low) | z)) >> (8 * width - 1)
+    raw = flags.to_bytes(-(-flags.bit_length() // 8), "little")
+    out = []
+    i = raw.find(1)
+    while i >= 0:
+        out.append(i // width)
+        i = raw.find(1, i + 1)
+    return out
 
 
 def _pick_witness(enum, triples, names, logic, rows):

@@ -117,14 +117,19 @@ class _Fixpoints:
         """This domain repeated `k` times, lane `i` at bits `[i*W, (i+1)*W)`.
 
         `W` is `8 * lane_bytes`, the domain's size rounded up to whole
-        bytes, so a lane packs and unpacks with `int.to_bytes` and
-        `int.from_bytes`.  `full` and the masks of EX are replicated by the
-        base-2^W repunit `((1 << k*W) - 1) // ((1 << W) - 1)`.  Every
-        operator row taken from the view with :meth:`op` then computes the
-        row lane by lane, because EX carries no bit across a lane boundary:
-        what the lasso EX shifts in from the next lane lands on a masked
-        bit, and each lane's term of the structure EX is below 2^W.  Only
-        `op`, `v_ex`, `v_eu` and `v_eg` are meant for a view.
+        bytes.  So `k` vectors pack by joining their `int.to_bytes` and
+        converting once with `int.from_bytes`, and a result unpacks from
+        one `to_bytes` of the whole: lane `i` is bytes `[i*W/8,
+        (i+1)*W/8)`, which `memoryview.cast` reads as native unsigned ints
+        in C when a lane is 1, 2, 4 or 8 bytes on a little-endian host.
+
+        `full` and the masks of EX are replicated by the base-2^W repunit
+        `((1 << k*W) - 1) // ((1 << W) - 1)`.  Every operator row taken from
+        the view with :meth:`op` then computes the row lane by lane, because
+        EX carries no bit across a lane boundary: what the lasso EX shifts
+        in from the next lane lands on a masked bit, and each lane's term
+        of the structure EX is below 2^W.  Only `op`, `v_ex`, `v_eu` and
+        `v_eg` are meant for a view.
         """
         width = 8 * self.lane_bytes
         rep = ((1 << k * width) - 1) // ((1 << width) - 1)

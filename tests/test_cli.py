@@ -208,6 +208,64 @@ class TestLearn:
         assert d1 == d2
 
 
+# `learn --json` outside `timing`, recorded for three searches; the sample
+# path is filled in per run.  The last sample has a separator of size 4
+# that the default search misses (ROADMAP item 1); `--no-dedup` finds it.
+_THREE_PROPOSITIONS = """alphabet: p, q, r
+logic: ltl
+bound: 5
+pos: {p,q,r} | {};{}
+neg: {p,q,r};{p,r} | {}
+neg: {p,q};{} | {p,q,r};{}
+neg: {p};{} | {}
+neg: {} | {}
+"""
+_EXAMPLE1_SHA = ("1833a4d86687d84432067db92519e963"
+                 "37b9b2c15184091a6f834df2f98dd81a")
+_GOLDEN_LEARN = {
+    "example1": (("--sample", "example1"), _EXAMPLE1_SHA, 5, "at_most",
+                 "semantic", "x1 | (x3 | x2)", 5, 4150, 115),
+    "example1-exactly": (("--sample", "example1", "--exactly"), _EXAMPLE1_SHA,
+                         5, "exactly", "semantic", "x1 | (x3 | x2)", 5, 4150,
+                         115),
+    "three-props-no-dedup": (
+        ("--sample", "three-props", "--no-dedup"),
+        "32da21fa2e8a2fa34771e81da613f0048e2681961af5bf5603f438d28c72d566",
+        5, "at_most", "none", "!(r -> X r)", 4, 688143, 154),
+}
+
+
+class TestLearnGolden:
+    """`learn --json` is byte-identical outside `timing` to the recorded
+    reports: same inputs, witness, size and search counts, in the same
+    order."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_LEARN))
+    def test_report_matches_the_recorded_one(self, capsys, tmp_path,
+                                             example1_sample_file, name):
+        argv, sha, bound, mode, dedup, witness, size, generated, distinct = (
+            _GOLDEN_LEARN[name])
+        three = tmp_path / "three.sample"
+        three.write_text(_THREE_PROPOSITIONS)
+        paths = {"example1": str(example1_sample_file),
+                 "three-props": str(three)}
+        argv = [paths.get(a, a) for a in argv]
+        code, out, _ = run(capsys, "learn", "--json", *argv)
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert list(data.pop("timing")) == ["search"]
+        expected = {
+            "command": "learn",
+            "version": templearn.__version__,
+            "inputs": {"sample": {"path": argv[1], "sha256": sha},
+                       "bound": bound, "bound_mode": mode, "dedup": dedup},
+            "outcome": {"decision": True, "witness": witness, "size": size,
+                        "candidates_generated": generated,
+                        "distinct_signatures": distinct},
+        }
+        assert json.dumps(data) == json.dumps(expected)
+
+
 class TestReduce:
     def test_sat2ltl(self, capsys, cnf_file, tmp_path):
         out_path = str(tmp_path / "reduced.sample")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -11,7 +12,9 @@ from templearn import (
     learn, parse_ctl, parse_ltl, print_formula, reduce_ltl_to_ctl,
     reduce_sat, size, verify,
 )
+from templearn import learner
 from templearn.formulas import LtlBinary, LtlUnary, Prop, subformulas
+from templearn.learner import _build_domain
 
 
 def word(text):
@@ -341,6 +344,181 @@ class TestPruningUnderDagSize:
     def test_pruned_search_finds_the_three_proposition_witness(self):
         out = learn(self.three_propositions(), LearnConfig(bound=4))
         assert out.decision and out.size == 4
+
+
+def pack_lanes(values, width):
+    return int.from_bytes(b"".join(v.to_bytes(width, "little")
+                                   for v in values), "little")
+
+
+def repunit(k, width):
+    bits = 8 * width
+    return ((1 << k * bits) - 1) // ((1 << bits) - 1)
+
+
+class TestUnpack:
+    """`_unpack` reads lanes of 1, 2, 4 or 8 bytes with `memoryview.cast`
+    and any other width one `int.from_bytes` at a time; both give the
+    packed values back."""
+
+    WIDTHS = (1, 2, 3, 4, 6, 8, 9, 16)
+
+    def test_cast_formats_cover_the_machine_widths(self):
+        if sys.byteorder == "little":
+            assert set(learner._LANE_FORMATS) == {1, 2, 4, 8}
+        else:
+            assert learner._LANE_FORMATS == {}
+
+    @pytest.mark.parametrize("cast", [True, False], ids=["cast", "bytes"])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_round_trip(self, monkeypatch, cast, width):
+        if not cast:
+            monkeypatch.setattr(learner, "_LANE_FORMATS", {})
+        rng = random.Random(width)
+        for k in (1, 7, 300):
+            values = [rng.getrandbits(8 * width) for _ in range(k)]
+            values[0] = (1 << 8 * width) - 1  # every bit of a lane set
+            values[-1] = 0  # and a zero top lane
+            got = learner._unpack(pack_lanes(values, width), width, k)
+            assert got == values
+            assert all(type(v) is int for v in got)
+
+
+def distinct_words(rng, n):
+    """Distinct random words over p, q, r with `n` suffix classes in all."""
+    while True:
+        words, left = [], n
+        while left:
+            prefix = rng.randint(0, min(3, left - 1))
+            period = rng.randint(1, min(4, left - prefix))
+            words.append(Word(
+                [rng.sample("pqr", rng.randint(0, 3)) for _ in range(prefix)],
+                [rng.sample("pqr", rng.randint(0, 3))
+                 for _ in range(period)]))
+            left -= prefix + period
+        if len(set(words)) == len(words):
+            return words
+
+
+def kripke(rng, n, initial):
+    """A random total structure of `n` states, `initial` of them initial."""
+    states = [f"s{i}" for i in range(n)]
+    edges = [(s, t) for s in states for t in rng.sample(states, 2)]
+    return KripkeStructure(states, rng.sample(states, initial), edges,
+                           [rng.sample("pq", rng.randint(0, 2))
+                            for _ in states])
+
+
+class TestPackedScreen:
+    """The final layer screens a whole packed row at once: the lanes with
+    `sig & screen == pos_mask` are the zero lanes of `(row & screen * rep)
+    ^ pos_mask * rep`, and only those get `is_separating`."""
+
+    @staticmethod
+    def check(rng, sample, k=300):
+        domain, pos_mask, screen, is_separating, _ = _build_domain(sample)
+        width = domain.lane_bytes
+        sigs = []
+        for _ in range(k):
+            sig = rng.getrandbits(domain.size)
+            kind = rng.randrange(4)
+            if kind:  # pass the screen, or miss it by one bit
+                sig = sig & ~screen | pos_mask
+            if kind == 2 and screen:
+                sig ^= 1 << rng.choice(
+                    [i for i in range(domain.size) if screen >> i & 1])
+            sigs.append(sig)
+        sigs[:3] = [0, domain.full, pos_mask]
+        rep = repunit(k, width)
+        z = (pack_lanes(sigs, width) & screen * rep) ^ pos_mask * rep
+        passed = learner._zero_lanes(z, width, rep)
+        assert passed == [i for i, sig in enumerate(sigs)
+                          if sig & screen == pos_mask]
+        got = [i for i in passed if is_separating(sigs[i])]
+        want = [i for i, sig in enumerate(sigs)
+                if sig & screen == pos_mask and is_separating(sig)]
+        assert got == want
+        return len(want)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 16, 60, 64, 70])
+    def test_lasso_domains(self, size):
+        rng = random.Random(size)
+        for _ in range(5):
+            words = distinct_words(rng, size)
+            cut = rng.randint(0, len(words))
+            sample = Sample("pqr", "ltl", words[:cut], words[cut:])
+            assert _build_domain(sample)[0].size == size
+            self.check(rng, sample)
+
+    @pytest.mark.parametrize("sizes", [(3, 5), (2, 4, 2), (4, 4, 4, 4),
+                                       (7, 9, 6, 3), (30, 20, 14)])
+    def test_structure_domains_with_several_initial_states(self, sizes):
+        rng = random.Random(sum(sizes))
+        separating = 0
+        for _ in range(5):
+            structures = [kripke(rng, n, rng.randint(1, min(2, n)))
+                          for n in sizes[:1]]
+            structures += [kripke(rng, n, rng.randint(1, n))
+                           for n in sizes[1:]]
+            separating += self.check(rng, Sample("pq", "ctl", structures[:1],
+                                                 structures[1:]))
+        assert separating  # some lanes get through
+
+    def test_wide_negatives_are_tested_after_the_screen(self):
+        # The negative's two initial states are left out of the screen: a
+        # lane holding both passes it and fails the full test.
+        rng = random.Random(3)
+        good, bad = kripke(rng, 3, 1), kripke(rng, 2, 2)
+        sample = Sample("pq", "ctl", [good], [bad])
+        domain, pos_mask, screen, is_separating, _ = _build_domain(sample)
+        both = domain.full & ~((1 << 3) - 1)
+        assert screen & both == 0
+        sigs = [pos_mask, pos_mask | both]
+        rep = repunit(2, 1)
+        z = (pack_lanes(sigs, 1) & screen * rep) ^ pos_mask * rep
+        assert learner._zero_lanes(z, 1, rep) == [0, 1]
+        assert [is_separating(s) for s in sigs] == [True, False]
+
+
+class TestFlushBoundaries:
+    """The final layer gives the same outcome however its lanes are split
+    into flushes: one share per flush, a few lanes, or the default cap."""
+
+    def outcomes(self, monkeypatch, cap):
+        from templearn.semantics import CtlDomain, LtlDomain
+        calls = []
+        for cls in (LtlDomain, CtlDomain):
+            real = cls.lanes
+            monkeypatch.setattr(cls, "lanes", lambda d, k, real=real:
+                                calls.append(k) or real(d, k))
+        monkeypatch.setattr(learner, "_LANE_CAP", cap)
+        seen = {}
+        for name, s, cfg in self.searches():
+            out = learn(s, cfg)
+            seen[name] = (out.decision, out.witness, out.size,
+                          out.stats["candidates_generated"],
+                          out.stats["distinct_signatures"])
+        return seen, calls
+
+    def searches(self):
+        yield ("three-props", TestPruningUnderDagSize().three_propositions(),
+               LearnConfig(bound=4, dedup=DedupMode.NONE))
+        for name in ("sat-b", "unsat-a"):
+            s = reduce_sat(CnfInstance(3, PINNED_CNFS[name]))
+            for sample in (s, reduce_ltl_to_ctl(s)):
+                yield (f"{name}/{sample.logic}", sample,
+                       LearnConfig(logic=sample.logic))
+
+    def test_outcomes_do_not_depend_on_the_lane_cap(self, monkeypatch):
+        runs = {cap: self.outcomes(monkeypatch, cap) for cap in (1, 3, 4096)}
+        assert runs[1][0] == runs[3][0] == runs[4096][0]
+        assert runs[1][0]["three-props"][1] == parse_ltl("!(r -> X r)")
+        assert runs[1][0]["sat-b/ctl"][1:] == (
+            parse_ctl("x1 | (x3_bar | x2)"),) + PINNED_SEARCHES[
+                "sat-b/ctl", "default"][2:]
+        # Smaller caps flush more often.
+        flushes = [len(runs[cap][1]) for cap in (1, 3, 4096)]
+        assert flushes[0] > flushes[1] > flushes[2]
 
 
 class TestCtlLearning:

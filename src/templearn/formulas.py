@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import lru_cache, partial
+from typing import Union
+
+LTL, CTL = "ltl", "ctl"
+LOGIC_NAMES = {LTL: "linear-time", CTL: "branching-time"}
 
 NOT, NEXT, EVENTUALLY, ALWAYS = "!", "X", "F", "G"
 AND, OR, IMPLIES, IFF = "&", "|", "->", "<->"
@@ -30,11 +34,14 @@ LOGICAL_BINARY_OPS = (AND, OR, IMPLIES, IFF)
 TEMPORAL_BINARY_OPS = (UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
 BINARY_OPS = LOGICAL_BINARY_OPS + TEMPORAL_BINARY_OPS
 TEMPORAL_UNARY_OPS = (NEXT, EVENTUALLY, ALWAYS)
+TEMPORAL_OPS = frozenset(TEMPORAL_UNARY_OPS + TEMPORAL_BINARY_OPS)
 QUANTIFIERS = (EXISTS, FORALL)
 
-# Canonical operator order used for deterministic tie-breaking.
-OP_RANK = {op: i for i, op in enumerate(UNARY_OPS + BINARY_OPS)}
-QUANTIFIER_RANK = {EXISTS: 0, FORALL: 1}
+# The structural key of every operator row `(token, quantifier)`: the fixed
+# operator order, then E before A on quantified rows.
+_ROW_KEY = {(op, q): "1" + chr(65 + i) + ("" if q is None else str(j))
+            for i, op in enumerate(UNARY_OPS + BINARY_OPS)
+            for j, q in enumerate((None,) + QUANTIFIERS, -1)}
 
 RESERVED_WORDS = frozenset(
     TEMPORAL_UNARY_OPS + TEMPORAL_BINARY_OPS + QUANTIFIERS
@@ -69,7 +76,11 @@ def validate_proposition(name: str) -> str:
 
 
 class Formula:
-    """Base class of all formula nodes.  Nodes are immutable and hashable."""
+    """Base class of all formula nodes.  Nodes are immutable and hashable.
+
+    Every node exposes `args`, its operand tuple, and `logic`, the logic
+    of its class (None on a proposition, which belongs to both).
+    """
 
     __slots__ = ("_hash",)
 
@@ -85,6 +96,8 @@ class Formula:
 
 class Prop(Formula):
     __slots__ = ("name",)
+    args = ()
+    logic = None
 
     def __init__(self, name: str):
         self.name = validate_proposition(name)
@@ -98,31 +111,45 @@ class Prop(Formula):
     __hash__ = Formula.__hash__
 
 
-class LtlUnary(Formula):
+class _Operator(Formula):
+    """An operator node: the row `(op, quantifier)` applied to `args`.
+
+    `quantifier` is None except on the path-quantified nodes.
+    """
+
+    __slots__ = ("args",)
+    quantifier = None
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        return (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self.op == other.op
+            and self.quantifier == other.quantifier
+            and self.args == other.args
+        )
+
+    __hash__ = Formula.__hash__
+
+
+class LtlUnary(_Operator):
     __slots__ = ("op", "child")
+    logic = LTL
 
     def __init__(self, op: str, child: "LtlFormula"):
         if op not in UNARY_OPS:
             raise ValueError(f"unknown unary operator {op!r}")
         self.op = op
         self.child = child
+        self.args = (child,)
         self._hash = hash(("lu", op, child._hash))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is LtlUnary
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.child == other.child
-        )
 
-    __hash__ = Formula.__hash__
-
-
-class LtlBinary(Formula):
+class LtlBinary(_Operator):
     __slots__ = ("op", "left", "right")
+    logic = LTL
 
     def __init__(self, op: str, left: "LtlFormula", right: "LtlFormula"):
         if op not in BINARY_OPS:
@@ -130,41 +157,26 @@ class LtlBinary(Formula):
         self.op = op
         self.left = left
         self.right = right
+        self.args = (left, right)
         self._hash = hash(("lb", op, left._hash, right._hash))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is LtlBinary
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
 
-    __hash__ = Formula.__hash__
-
-
-class CtlNot(Formula):
+class CtlNot(_Operator):
     __slots__ = ("child",)
+    logic = CTL
+    op = NOT
 
     def __init__(self, child: "CtlFormula"):
         self.child = child
+        self.args = (child,)
         self._hash = hash(("cn", child._hash))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return type(other) is CtlNot and self.child == other.child
 
-    __hash__ = Formula.__hash__
-
-
-class CtlBinary(Formula):
+class CtlBinary(_Operator):
     """Boolean connective between two state formulas."""
 
     __slots__ = ("op", "left", "right")
+    logic = CTL
 
     def __init__(self, op: str, left: "CtlFormula", right: "CtlFormula"):
         if op not in LOGICAL_BINARY_OPS:
@@ -172,26 +184,15 @@ class CtlBinary(Formula):
         self.op = op
         self.left = left
         self.right = right
+        self.args = (left, right)
         self._hash = hash(("cb", op, left._hash, right._hash))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is CtlBinary
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
 
-    __hash__ = Formula.__hash__
-
-
-class CtlQuantUnary(Formula):
+class CtlQuantUnary(_Operator):
     """A quantified unary path formula such as `E X f` or `A G f`."""
 
     __slots__ = ("quantifier", "op", "child")
+    logic = CTL
 
     def __init__(self, quantifier: str, op: str, child: "CtlFormula"):
         if quantifier not in QUANTIFIERS:
@@ -201,26 +202,15 @@ class CtlQuantUnary(Formula):
         self.quantifier = quantifier
         self.op = op
         self.child = child
+        self.args = (child,)
         self._hash = hash(("cqu", quantifier, op, child._hash))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is CtlQuantUnary
-            and self._hash == other._hash
-            and self.quantifier == other.quantifier
-            and self.op == other.op
-            and self.child == other.child
-        )
 
-    __hash__ = Formula.__hash__
-
-
-class CtlQuantBinary(Formula):
+class CtlQuantBinary(_Operator):
     """A quantified binary path formula such as `E (f U g)`."""
 
     __slots__ = ("quantifier", "op", "left", "right")
+    logic = CTL
 
     def __init__(self, quantifier: str, op: str,
                  left: "CtlFormula", right: "CtlFormula"):
@@ -232,61 +222,52 @@ class CtlQuantBinary(Formula):
         self.op = op
         self.left = left
         self.right = right
+        self.args = (left, right)
         self._hash = hash(("cqb", quantifier, op, left._hash, right._hash))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is CtlQuantBinary
-            and self._hash == other._hash
-            and self.quantifier == other.quantifier
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Formula.__hash__
 
 
 LtlFormula = Union[Prop, LtlUnary, LtlBinary]
 CtlFormula = Union[Prop, CtlNot, CtlBinary, CtlQuantUnary, CtlQuantBinary]
 
-_LTL_TYPES = (Prop, LtlUnary, LtlBinary)
-_CTL_TYPES = (Prop, CtlNot, CtlBinary, CtlQuantUnary, CtlQuantBinary)
-
 
 def is_ltl(f: Formula) -> bool:
-    return isinstance(f, _LTL_TYPES)
+    """True when `f` is a formula with no branching-time node."""
+    return isinstance(f, Formula) and all(g.logic != CTL
+                                          for g in subformulas(f))
 
 
 def is_ctl(f: Formula) -> bool:
-    return isinstance(f, _CTL_TYPES)
+    """True when `f` is a formula with no linear-time node."""
+    return isinstance(f, Formula) and all(g.logic != LTL
+                                          for g in subformulas(f))
 
 
-def children(f: Formula) -> tuple:
-    """Immediate sub-formulas of `f`.
-
-    For a quantified temporal node the children are its state-formula
-    arguments; the path formula under the quantifier is not itself a member
-    of the sub-formula closure.
-    """
-    if type(f) is Prop:
-        return ()
-    if type(f) is LtlUnary or type(f) is CtlNot or type(f) is CtlQuantUnary:
-        return (f.child,)
-    return (f.left, f.right)
+@lru_cache(maxsize=None)
+def node_builder(logic: str, token: str, quantifier: str | None = None):
+    """The constructor of the operator row `(token, quantifier)` in `logic`,
+    called with the row's operands."""
+    if logic == LTL:
+        return partial(LtlUnary if token in UNARY_OPS else LtlBinary, token)
+    if quantifier is not None:
+        return partial(CtlQuantUnary if token in UNARY_OPS else CtlQuantBinary,
+                       quantifier, token)
+    return CtlNot if token == NOT else partial(CtlBinary, token)
 
 
 def subformulas(f: Formula) -> frozenset:
-    """The sub-formula closure of `f`, as a set of distinct nodes."""
+    """The sub-formula closure of `f`, as a set of distinct nodes.
+
+    For a quantified temporal node the operands are its state-formula
+    arguments; the path formula under the quantifier is not itself a member
+    of the sub-formula closure.
+    """
     seen = set()
     stack = [f]
     while stack:
         g = stack.pop()
         if g not in seen:
             seen.add(g)
-            stack.extend(children(g))
+            stack.extend(g.args)
     return frozenset(seen)
 
 
@@ -357,23 +338,10 @@ class OperatorSet:
 def conforms(f: Formula, operators: OperatorSet) -> bool:
     """True iff every operator used by `f` is allowed by `operators`."""
     for g in subformulas(f):
-        t = type(g)
-        if t is Prop:
-            continue
-        if t is LtlUnary:
-            if g.op not in operators.unary:
-                return False
-        elif t is LtlBinary or t is CtlBinary:
-            if g.op not in operators.binary:
-                return False
-        elif t is CtlNot:
-            if NOT not in operators.unary:
-                return False
-        elif t is CtlQuantUnary:
-            if g.quantifier not in operators.quantifiers or g.op not in operators.unary:
-                return False
-        else:
-            if g.quantifier not in operators.quantifiers or g.op not in operators.binary:
+        if g.args:
+            ops = operators.unary if len(g.args) == 1 else operators.binary
+            if g.op not in ops or (g.quantifier is not None and g.quantifier
+                                   not in operators.quantifiers):
                 return False
     return True
 
@@ -594,46 +562,26 @@ _BINARY_LEVEL = {
 _RIGHT_ASSOC = frozenset((IFF, IMPLIES, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
 
 
-def _fmt_binary(op: str, left, right) -> tuple:
+def _fmt(f: Formula) -> tuple:
+    if type(f) is Prop:
+        return f.name, _ATOM_LEVEL
+    op, quantifier = f.op, f.quantifier
+    if len(f.args) == 1:
+        text, level = _fmt(f.child)
+        if level < _UNARY_LEVEL:
+            text = f"({text})"
+        if quantifier is not None:
+            return f"{quantifier} {op} {text}", _UNARY_LEVEL
+        return (f"!{text}" if op == NOT else f"{op} {text}"), _UNARY_LEVEL
+    (lt, ll), (rt, rl) = _fmt(f.left), _fmt(f.right)
+    if quantifier is not None:
+        return f"{quantifier} ({lt} {op} {rt})", _ATOM_LEVEL
     level = _BINARY_LEVEL[op]
-    lt, ll = _fmt(left)
-    rt, rl = _fmt(right)
     if ll < level or (ll == level and op in _RIGHT_ASSOC):
         lt = f"({lt})"
     if rl < level or (rl == level and op not in _RIGHT_ASSOC):
         rt = f"({rt})"
     return f"{lt} {op} {rt}", level
-
-
-def _fmt_unary(op: str, child) -> tuple:
-    text, level = _fmt(child)
-    if level < _UNARY_LEVEL:
-        text = f"({text})"
-    if op == NOT:
-        return f"!{text}", _UNARY_LEVEL
-    return f"{op} {text}", _UNARY_LEVEL
-
-
-def _fmt(f: Formula) -> tuple:
-    t = type(f)
-    if t is Prop:
-        return f.name, _ATOM_LEVEL
-    if t is LtlUnary:
-        return _fmt_unary(f.op, f.child)
-    if t is LtlBinary or t is CtlBinary:
-        return _fmt_binary(f.op, f.left, f.right)
-    if t is CtlNot:
-        return _fmt_unary(NOT, f.child)
-    if t is CtlQuantUnary:
-        text, level = _fmt(f.child)
-        if level < _UNARY_LEVEL:
-            text = f"({text})"
-        return f"{f.quantifier} {f.op} {text}", _UNARY_LEVEL
-    if t is CtlQuantBinary:
-        lt, _ = _fmt(f.left)
-        rt, _ = _fmt(f.right)
-        return f"{f.quantifier} ({lt} {f.op} {rt})", _ATOM_LEVEL
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def print_formula(f: Formula) -> str:
@@ -652,26 +600,12 @@ def structural_key(f: Formula) -> str:
     parts = []
 
     def emit(g):
-        t = type(g)
-        if t is Prop:
+        if type(g) is Prop:
             parts.append("0" + g.name + ";")
-        elif t is LtlUnary:
-            parts.append("1" + chr(65 + OP_RANK[g.op]))
-            emit(g.child)
-        elif t is CtlNot:
-            parts.append("1" + chr(65 + OP_RANK[NOT]))
-            emit(g.child)
-        elif t is LtlBinary or t is CtlBinary:
-            parts.append("1" + chr(65 + OP_RANK[g.op]))
-            emit(g.left)
-            emit(g.right)
-        elif t is CtlQuantUnary:
-            parts.append("1" + chr(65 + OP_RANK[g.op]) + str(QUANTIFIER_RANK[g.quantifier]))
-            emit(g.child)
         else:
-            parts.append("1" + chr(65 + OP_RANK[g.op]) + str(QUANTIFIER_RANK[g.quantifier]))
-            emit(g.left)
-            emit(g.right)
+            parts.append(_ROW_KEY[g.op, g.quantifier])
+            for a in g.args:
+                emit(a)
 
     emit(f)
     return "".join(parts)

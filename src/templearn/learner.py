@@ -65,17 +65,15 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .formulas import (
-    AND, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    AND, CTL, LTL, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
     LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
-    UNARY_OPS,
-    CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
-    LtlUnary, OperatorSet, Prop, conforms, is_ctl, is_ltl, size,
+    Formula, OperatorSet, Prop, conforms, is_ctl, is_ltl, node_builder, size,
     structural_key,
 )
-from .models import CTL, LTL, Sample
+from .models import Sample
 from .semantics import CtlDomain, LtlDomain, check_separating
 
 
@@ -333,20 +331,10 @@ def _op_table(logic: str, operators: OperatorSet, skip_trivial: bool):
     return unary, binary
 
 
-def _builder(logic: str, token: str, quantifier):
-    """The AST constructor of an operator row."""
-    if logic == LTL:
-        return partial(LtlUnary if token in UNARY_OPS else LtlBinary, token)
-    if quantifier is not None:
-        return partial(CtlQuantUnary if token in UNARY_OPS else CtlQuantBinary,
-                       quantifier, token)
-    return CtlNot if token == NOT else partial(CtlBinary, token)
-
-
 @lru_cache(maxsize=None)
 def _builders(logic: str, rows) -> tuple:
     """The AST constructors of an operator table, indexed by opcode."""
-    return tuple(_builder(logic, *row) for row in rows[0] + rows[1])
+    return tuple(node_builder(logic, *row) for row in rows[0] + rows[1])
 
 
 def _build_domain(sample: Sample):
@@ -566,7 +554,7 @@ def _pad_witness(witness, gap, logic, rows, trivial):
         arity = 1
     if row is None:
         return None
-    make = _builder(logic, *row)
+    make = node_builder(logic, *row)
     for _ in range(gap):
         witness = make(*(witness,) * arity)
     return witness

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
-from .formulas import validate_proposition
+from .formulas import CTL, LTL, validate_proposition
 
 
 class SampleFormatError(ValueError):
@@ -180,8 +180,6 @@ def embed_word(word: Word) -> KripkeStructure:
 
 
 Example = Union[Word, KripkeStructure]
-
-LTL, CTL = "ltl", "ctl"
 
 
 @dataclass(frozen=True)

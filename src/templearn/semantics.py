@@ -6,7 +6,8 @@ structure.  Both domains share one trusted core: each supplies its pre-image
 EX, and EU and EG are the least and greatest fixpoints over it, iterated on
 whole vectors.  One operator table, keyed by `(token, quantifier)` rows,
 rewrites every operator to these three through its defining identity; the
-checkers and the learner both take their vector functions from it.
+checkers and the learner both take their vector functions from it.  Every
+operator node carries its row, so one `evaluate` serves both logics.
 
 A lasso word is the deterministic Kripke structure with one successor per
 suffix class, so its EX is X: one right shift within the words, plus one
@@ -32,12 +33,12 @@ from functools import partial
 from operator import and_, or_, xor
 
 from .formulas import (
-    AND, ALWAYS, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
-    STRONG_RELEASE, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS, UNTIL, WEAK_UNTIL,
-    CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula,
-    LtlBinary, LtlUnary, Prop, is_ctl, is_ltl, prop_names,
+    AND, ALWAYS, CTL, EVENTUALLY, IFF, IMPLIES, LOGIC_NAMES, LTL, NEXT, NOT,
+    OR, RELEASE, STRONG_RELEASE, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
+    UNTIL, WEAK_UNTIL, Formula, LtlBinary, LtlUnary, Prop, is_ctl, is_ltl,
+    prop_names,
 )
-from .models import LTL, KripkeStructure, Sample, Word
+from .models import KripkeStructure, Sample, Word
 
 
 # The vector function of every operator row `(token, quantifier)`, as a
@@ -138,11 +139,38 @@ class _Fixpoints:
                              **self._replicated(rep))
         return view
 
-    def unary(self, op: str, a: int) -> int:
-        return OPERATOR_TABLE[op, None](self)(a)
+    def unary(self, op: str, a: int, quantifier: str | None = None) -> int:
+        return OPERATOR_TABLE[op, quantifier](self)(a)
 
-    def binary(self, op: str, a: int, b: int) -> int:
-        return OPERATOR_TABLE[op, None](self)(a, b)
+    def binary(self, op: str, a: int, b: int,
+               quantifier: str | None = None) -> int:
+        return OPERATOR_TABLE[op, quantifier](self)(a, b)
+
+    def evaluate(self, f: Formula) -> int:
+        """The vector of `f`: each node's row `(op, quantifier)` applied to
+        its operands' vectors through :meth:`unary` or :meth:`binary`.  A
+        node of the other logic raises `TypeError`."""
+        cache: dict = {}
+        foreign = CTL if self.logic == LTL else LTL
+
+        def go(g) -> int:
+            v = cache.get(g)
+            if v is None:
+                args = g.args
+                if not args:
+                    v = self.prop_vector(g.name)
+                elif g.logic is foreign:
+                    raise TypeError(f"not a {LOGIC_NAMES[self.logic]} "
+                                    f"formula: {g!r}")
+                elif len(args) == 1:
+                    v = self.unary(g.op, go(args[0]), g.quantifier)
+                else:
+                    v = self.binary(g.op, go(args[0]), go(args[1]),
+                                    g.quantifier)
+                cache[g] = v
+            return v
+
+        return go(f)
 
 
 class LtlDomain(_Fixpoints):
@@ -152,6 +180,8 @@ class LtlDomain(_Fixpoints):
     word `w`.  The domain exposes the per-operator vector transformers so that
     callers (the checker, the learner) can build vectors bottom-up.
     """
+
+    logic = LTL
 
     def __init__(self, words):
         self.words = tuple(words)
@@ -196,29 +226,11 @@ class LtlDomain(_Fixpoints):
             r |= (a & mask) << shift
         return r
 
-    def evaluate(self, f: Formula) -> int:
-        cache: dict = {}
-
-        def go(g) -> int:
-            v = cache.get(g)
-            if v is None:
-                t = type(g)
-                if t is Prop:
-                    v = self.prop_vector(g.name)
-                elif t is LtlUnary:
-                    v = self.unary(g.op, go(g.child))
-                elif t is LtlBinary:
-                    v = self.binary(g.op, go(g.left), go(g.right))
-                else:
-                    raise TypeError(f"not a linear-time formula: {g!r}")
-                cache[g] = v
-            return v
-
-        return go(f)
-
 
 class CtlDomain(_Fixpoints):
     """A fixed tuple of structures; vectors carry one bit per state."""
+
+    logic = CTL
 
     def __init__(self, structures):
         self.structures = tuple(structures)
@@ -285,30 +297,6 @@ class CtlDomain(_Fixpoints):
 
     def quant_binary(self, quantifier: str, op: str, a: int, b: int) -> int:
         return OPERATOR_TABLE[op, quantifier](self)(a, b)
-
-    def evaluate(self, f: Formula) -> int:
-        cache: dict = {}
-
-        def go(g) -> int:
-            v = cache.get(g)
-            if v is None:
-                t = type(g)
-                if t is Prop:
-                    v = self.prop_vector(g.name)
-                elif t is CtlNot:
-                    v = self.full ^ go(g.child)
-                elif t is CtlBinary:
-                    v = self.binary(g.op, go(g.left), go(g.right))
-                elif t is CtlQuantUnary:
-                    v = self.quant_unary(g.quantifier, g.op, go(g.child))
-                elif t is CtlQuantBinary:
-                    v = self.quant_binary(g.quantifier, g.op, go(g.left), go(g.right))
-                else:
-                    raise TypeError(f"not a branching-time formula: {g!r}")
-                cache[g] = v
-            return v
-
-        return go(f)
 
     def accepts(self, vector: int, structure_index: int) -> bool:
         mask = self.init_masks[structure_index]

@@ -15,13 +15,15 @@ import re
 from dataclasses import dataclass, field
 
 from .formulas import (
-    ALWAYS, AND, EVENTUALLY, NEXT, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL,
-    WEAK_UNTIL, LOGICAL_BINARY_OPS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
-    CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula,
-    LtlBinary, LtlUnary, Prop, is_ltl, subformulas,
+    AND, BINARY_OPS, CTL, LOGIC_NAMES, LTL, OR, STRONG_RELEASE, TEMPORAL_OPS,
+    UNARY_OPS, WEAK_UNTIL, Formula, is_ltl, node_builder, subformulas,
 )
 
 _BLOCK_NAME_RE = re.compile(r"^x(\d+)(_bar)?$")
+
+# The single-letter reducts of W and M; every other temporal operator
+# collapses to its last operand.
+_REDUCT = {WEAK_UNTIL: OR, STRONG_RELEASE: AND}
 
 
 def temporal_eliminate(f: Formula) -> Formula:
@@ -36,24 +38,17 @@ def temporal_eliminate(f: Formula) -> Formula:
         raise TypeError("temporal elimination is defined on linear-time "
                         "formulas only")
     memo: dict = {}
+    build = _ROW_BUILDERS[LTL, None]
 
     def go(g):
         r = memo.get(g)
         if r is None:
-            t = type(g)
-            if t is Prop:
+            if not g.args:
                 r = g
-            elif t is LtlUnary:
-                r = LtlUnary(NOT, go(g.child)) if g.op == NOT else go(g.child)
+            elif g.op in TEMPORAL_OPS and g.op not in _REDUCT:
+                r = go(g.args[-1])
             else:
-                if g.op in (UNTIL, RELEASE):
-                    r = go(g.right)
-                elif g.op == WEAK_UNTIL:
-                    r = LtlBinary(OR, go(g.left), go(g.right))
-                elif g.op == STRONG_RELEASE:
-                    r = LtlBinary(AND, go(g.left), go(g.right))
-                else:
-                    r = LtlBinary(g.op, go(g.left), go(g.right))
+                r = build[_REDUCT.get(g.op, g.op)](*map(go, g.args))
             memo[g] = r
         return r
 
@@ -62,43 +57,47 @@ def temporal_eliminate(f: Formula) -> Formula:
 
 def is_temporal_free(f: Formula) -> bool:
     """True when `f` uses only propositions and logical connectives."""
-    for g in subformulas(f):
-        t = type(g)
-        if t is LtlUnary and g.op in TEMPORAL_UNARY_OPS:
-            return False
-        if t is LtlBinary and g.op in TEMPORAL_BINARY_OPS:
-            return False
-        if t is CtlQuantUnary or t is CtlQuantBinary:
-            return False
-    return True
+    return not any(g.args and g.op in TEMPORAL_OPS for g in subformulas(f))
+
+
+# Per target `(logic, quantifier)`: the constructor of each operator token,
+# each temporal one under the quantifier (None for LTL).
+_ROW_BUILDERS = {(logic, q): {op: node_builder(logic, op, q if op in
+                                               TEMPORAL_OPS else None)
+                              for op in UNARY_OPS + BINARY_OPS}
+                 for logic, q in ((LTL, None), (CTL, "E"), (CTL, "A"))}
+
+
+def _requantify(f: Formula, logic: str, quantifier=None) -> Formula:
+    """Rebuild `f`, a formula of the other logic, row by row in `logic`:
+    each temporal row takes `quantifier` (None for LTL), the others none.
+    The operator tree, and so the size, is unchanged."""
+    memo: dict = {}
+    build = _ROW_BUILDERS[logic, quantifier]
+
+    def go(g):
+        r = memo.get(g)
+        if r is None:
+            if g.logic is logic:
+                raise TypeError(f"expected a formula without "
+                                f"{LOGIC_NAMES[logic]} nodes, got {g!r}")
+            args = g.args
+            if not args:
+                r = g
+            elif len(args) == 1:
+                r = build[g.op](go(args[0]))
+            else:
+                r = build[g.op](go(args[0]), go(args[1]))
+            memo[g] = r
+        return r
+
+    return go(f)
 
 
 def strip_quantifiers(f: Formula) -> Formula:
     """Drop every path quantifier, turning a branching-time formula into the
     linear-time formula with the same operator tree (size-preserving)."""
-    memo: dict = {}
-
-    def go(g):
-        r = memo.get(g)
-        if r is None:
-            t = type(g)
-            if t is Prop:
-                r = g
-            elif t is CtlNot:
-                r = LtlUnary(NOT, go(g.child))
-            elif t is CtlBinary:
-                r = LtlBinary(g.op, go(g.left), go(g.right))
-            elif t is CtlQuantUnary:
-                r = LtlUnary(g.op, go(g.child))
-            elif t is CtlQuantBinary:
-                r = LtlBinary(g.op, go(g.left), go(g.right))
-            else:
-                raise TypeError("expected a branching-time formula, got "
-                                f"{g!r}")
-            memo[g] = r
-        return r
-
-    return go(f)
+    return _requantify(f, LTL)
 
 
 def insert_quantifiers(f: Formula, quantifier: str = "E") -> Formula:
@@ -106,31 +105,7 @@ def insert_quantifiers(f: Formula, quantifier: str = "E") -> Formula:
     turning a linear-time formula into a branching-time one of equal size."""
     if quantifier not in ("E", "A"):
         raise ValueError(f"unknown path quantifier {quantifier!r}")
-    if not is_ltl(f):
-        raise TypeError("quantifier insertion is defined on linear-time "
-                        "formulas only")
-    memo: dict = {}
-
-    def go(g):
-        r = memo.get(g)
-        if r is None:
-            t = type(g)
-            if t is Prop:
-                r = g
-            elif t is LtlUnary:
-                if g.op == NOT:
-                    r = CtlNot(go(g.child))
-                else:
-                    r = CtlQuantUnary(quantifier, g.op, go(g.child))
-            else:
-                if g.op in LOGICAL_BINARY_OPS:
-                    r = CtlBinary(g.op, go(g.left), go(g.right))
-                else:
-                    r = CtlQuantBinary(quantifier, g.op, go(g.left), go(g.right))
-            memo[g] = r
-        return r
-
-    return go(f)
+    return _requantify(f, CTL, quantifier)
 
 
 @dataclass(frozen=True)
@@ -166,10 +141,9 @@ def analyze_conciseness(f: Formula, blocks=None) -> ConcisenessReport:
         raise TypeError("conciseness is defined on linear-time formulas only")
 
     def go(g):
-        t = type(g)
-        if t is Prop:
+        if not g.args:
             return True, frozenset((g.name,))
-        if t is LtlUnary:
+        if len(g.args) == 1:
             _, props = go(g.child)
             return False, props
         cl, pl = go(g.left)

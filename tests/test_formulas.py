@@ -3,12 +3,14 @@
 import pytest
 
 from templearn import (
-    FormulaSyntaxError, OperatorSet, conforms, parse_ctl, parse_ltl,
-    print_formula, prop_names, size, subformulas,
+    FormulaSyntaxError, OperatorSet, Sample, Word, analyze_conciseness,
+    check_separating, conforms, embed_word, insert_quantifiers, parse_ctl,
+    parse_ltl, print_formula, prop_names, size, strip_quantifiers,
+    subformulas, temporal_eliminate, verify,
 )
 from templearn.formulas import (
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, LtlBinary, LtlUnary,
-    Prop, structural_key,
+    Prop, is_ctl, is_ltl, structural_key,
 )
 
 
@@ -196,3 +198,68 @@ class TestStructuralKey:
     def test_quantifier_distinguishes_ctl_keys(self):
         assert structural_key(parse_ctl("E F p")) != structural_key(
             parse_ctl("A F p"))
+
+    # Recorded before the operator nodes shared one row shape; the learner
+    # breaks ties between witnesses by these keys.
+    PINNED_LTL = [
+        ("p", "0p;"), ("!p", "1A0p;"), ("X p", "1B0p;"), ("F p", "1C0p;"),
+        ("G p", "1D0p;"), ("p & q", "1E0p;0q;"), ("p | q", "1F0p;0q;"),
+        ("p -> q", "1G0p;0q;"), ("p <-> q", "1H0p;0q;"),
+        ("p U q", "1I0p;0q;"), ("p R q", "1J0p;0q;"), ("p W q", "1K0p;0q;"),
+        ("p M q", "1L0p;0q;"), ("G (p U !q)", "1D1I0p;1A0q;"),
+    ]
+    PINNED_CTL = [
+        ("p", "0p;"), ("!p", "1A0p;"), ("p & q", "1E0p;0q;"),
+        ("q -> p", "1G0q;0p;"), ("E X p", "1B00p;"), ("A X p", "1B10p;"),
+        ("E F p", "1C00p;"), ("A F p", "1C10p;"), ("E G p", "1D00p;"),
+        ("A G p", "1D10p;"), ("E (p U q)", "1I00p;0q;"),
+        ("A (p U q)", "1I10p;0q;"), ("E (p R q)", "1J00p;0q;"),
+        ("A (p W q)", "1K10p;0q;"), ("E (p M q)", "1L00p;0q;"),
+        ("!A F (p | E (q W p))", "1A1C11F0p;1K00q;0p;"),
+    ]
+
+    @pytest.mark.parametrize("text,key", PINNED_LTL)
+    def test_pinned_ltl_keys(self, text, key):
+        assert structural_key(parse_ltl(text)) == key
+
+    @pytest.mark.parametrize("text,key", PINNED_CTL)
+    def test_pinned_ctl_keys(self, text, key):
+        assert structural_key(parse_ctl(text)) == key
+
+
+class TestMixedLogicTrees:
+    """A tree that mixes nodes of both logics belongs to neither."""
+
+    MIXED_LTL = LtlBinary("&", Prop("p"), CtlNot(Prop("q")))
+    MIXED_CTL = CtlBinary("&", Prop("p"), LtlUnary("X", Prop("q")))
+
+    def test_neither_logic(self):
+        for f in (self.MIXED_LTL, self.MIXED_CTL):
+            assert not is_ltl(f) and not is_ctl(f)
+        assert is_ltl(Prop("p")) and is_ctl(Prop("p"))
+
+    def test_verify_rejects(self):
+        sample = Sample(["p", "q"], "ltl", [Word([], [["p"]])],
+                        [Word([], [[]])], bound=5)
+        assert not verify(self.MIXED_LTL, sample)
+        ctl_sample = Sample(["p", "q"], "ctl",
+                            [embed_word(Word([], [["p"]]))],
+                            [embed_word(Word([], [[]]))], bound=5)
+        assert not verify(self.MIXED_CTL, ctl_sample)
+
+    def test_check_separating_raises_value_error(self):
+        sample = Sample(["p", "q"], "ltl", [Word([], [["p"]])],
+                        [Word([], [[]])])
+        with pytest.raises(ValueError, match="branching-time"):
+            check_separating(self.MIXED_LTL, sample)
+
+    @pytest.mark.parametrize("transform", [
+        temporal_eliminate, insert_quantifiers, analyze_conciseness,
+    ])
+    def test_ltl_transforms_raise_type_error(self, transform):
+        with pytest.raises(TypeError):
+            transform(self.MIXED_LTL)
+
+    def test_strip_raises_type_error(self):
+        with pytest.raises(TypeError):
+            strip_quantifiers(self.MIXED_CTL)

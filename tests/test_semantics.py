@@ -72,9 +72,11 @@ class TestLtlBasics:
         vec = satisfaction_vector(parse_ltl("G F p"), w)
         assert vec == (True, True, True)
 
-    def test_ctl_formula_is_rejected(self):
-        with pytest.raises(TypeError):
-            check_ltl(parse_ctl("E F p"), word("| {p}"))
+    # One formula per branching-time node class, that class at the root.
+    @pytest.mark.parametrize("text", ["!p", "p & q", "E F p", "A (p U q)"])
+    def test_ctl_formula_is_rejected(self, text):
+        with pytest.raises(TypeError, match="not a linear-time formula"):
+            check_ltl(parse_ctl(text), word("| {p}"))
 
 
 def random_word(rng, props, max_len=4):
@@ -373,9 +375,11 @@ class TestCtl:
         assert check_ctl(parse_ctl("E F p"), k)
         assert not check_ctl(parse_ctl("A F p"), k)
 
-    def test_ltl_formula_is_rejected(self):
-        with pytest.raises(TypeError):
-            check_ctl(parse_ltl("F p"), two_state())
+    # One formula per linear-time node class, that class at the root.
+    @pytest.mark.parametrize("text", ["F p", "p & q"])
+    def test_ltl_formula_is_rejected(self, text):
+        with pytest.raises(TypeError, match="not a branching-time formula"):
+            check_ctl(parse_ltl(text), two_state())
 
 
 class TestCheckSeparating:

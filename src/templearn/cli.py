@@ -168,14 +168,13 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _learn_config(args, sample: Sample) -> LearnConfig:
+def _learn_config(args) -> LearnConfig:
     operators = (OperatorSet.from_names(args.ops.split(","))
                  if args.ops else OperatorSet.full())
     return LearnConfig(
         bound=args.bound,
         bound_mode=BoundMode.EXACTLY if args.exactly else BoundMode.AT_MOST,
         operators=operators,
-        logic=sample.logic,
         dedup=DedupMode.NONE if args.no_dedup else DedupMode.SEMANTIC,
     )
 
@@ -183,7 +182,7 @@ def _learn_config(args, sample: Sample) -> LearnConfig:
 def _cmd_learn(args) -> int:
     sample = _load_sample(args.sample)
     try:
-        config = _learn_config(args, sample)
+        config = _learn_config(args)
         outcome = learn(sample, config)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc

@@ -93,12 +93,12 @@ class DedupMode(Enum):
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Search parameters; `bound=None` takes the bound from the sample."""
+    """Search parameters; `bound=None` takes the bound from the sample.
+    The logic is always the sample's."""
 
     bound: int | None = None
     bound_mode: BoundMode = BoundMode.AT_MOST
     operators: OperatorSet = OperatorSet.full()
-    logic: str = LTL
     dedup: DedupMode = DedupMode.SEMANTIC
     bound_limit: int = 12
 
@@ -347,14 +347,10 @@ def _build_domain(sample: Sample):
     structures with one initial state each, that is the whole test.
     """
     examples = sample.positives + sample.negatives
-    if sample.logic == LTL:
-        domain = LtlDomain(examples)
-        starts = [1 << bit for bit in domain.start_bits]
-        trivial = all(w.length == 1 for w in domain.words)
-    else:
-        domain = CtlDomain(examples)
-        starts = domain.init_masks
-        trivial = all(len(m.states) == 1 for m in domain.structures)
+    domain = (LtlDomain if sample.logic == LTL else CtlDomain)(examples)
+    starts = domain.starts
+    # One suffix class per word, or one state per structure.
+    trivial = domain.size == len(examples)
     n_pos = len(sample.positives)
     pos_mask = 0
     for m in starts[:n_pos]:
@@ -560,19 +556,21 @@ def _pad_witness(witness, gap, logic, rows, trivial):
     return witness
 
 
+def _resolve_bound(sample: Sample, config: LearnConfig) -> int:
+    bound = config.bound if config.bound is not None else sample.bound
+    if bound is None:
+        raise ValueError("no size bound: set LearnConfig.bound or the "
+                         "sample's bound")
+    return bound
+
+
 def learn(sample: Sample, config: LearnConfig | None = None) -> LearnOutcome:
     """Decide whether a separating formula within the bound exists and, if
     so, return one of minimal size (AT_MOST) or of exactly the bound size
     (EXACTLY).  See the module docstring for the algorithm."""
     if config is None:
-        config = LearnConfig(logic=sample.logic)
-    if config.logic != sample.logic:
-        raise ValueError(f"configuration is for {config.logic} but the "
-                         f"sample is {sample.logic}")
-    bound = config.bound if config.bound is not None else sample.bound
-    if bound is None:
-        raise ValueError("no size bound: set LearnConfig.bound or the "
-                         "sample's bound")
+        config = LearnConfig()
+    bound = _resolve_bound(sample, config)
     if bound < 1:
         raise ValueError("the size bound must be at least 1")
     if bound > config.bound_limit:
@@ -629,11 +627,8 @@ def verify(witness: Formula, sample: Sample,
     """Polynomial-time check that a proposed witness is valid: right logic,
     within the size bound, conforming operators, and separating."""
     if config is None:
-        config = LearnConfig(logic=sample.logic)
-    bound = config.bound if config.bound is not None else sample.bound
-    if bound is None:
-        raise ValueError("no size bound: set LearnConfig.bound or the "
-                         "sample's bound")
+        config = LearnConfig()
+    bound = _resolve_bound(sample, config)
     ok_logic = is_ltl(witness) if sample.logic == LTL else is_ctl(witness)
     if not ok_logic:
         return False

@@ -149,9 +149,6 @@ class KripkeStructure:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", labels)
 
-    def index_of(self, state: str) -> int:
-        return self.states.index(state)
-
     def label_of(self, state: str) -> frozenset:
         return self.labels[self.states.index(state)]
 

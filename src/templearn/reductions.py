@@ -24,7 +24,7 @@ from .formulas import (
     Formula, LtlBinary, Prop, size,
 )
 from .models import LTL, Sample, Word, embed_word
-from .semantics import check_ltl, check_separating
+from .semantics import LtlDomain, check_separating
 from .transforms import analyze_conciseness, infer_blocks, temporal_eliminate
 
 logger = logging.getLogger("templearn.reductions")
@@ -210,12 +210,15 @@ def _blocks_of(props, blocks) -> frozenset:
 
 def _polarity(g, block_ids, blocks) -> int:
     """+1 when g accepts every consistency word of its blocks and rejects
-    the empty word; -1 in the reversed pattern; error otherwise."""
-    accepts_empty = check_ltl(g, _EMPTY_WORD)
-    values = [check_ltl(g, _block_words(k)) for k in sorted(block_ids)]
-    if all(values) and not accepts_empty:
+    the empty word; -1 in the reversed pattern; error otherwise.  Each
+    word has one class, so bit 0 is the empty word and the rest its blocks'
+    words."""
+    domain = LtlDomain([_EMPTY_WORD]
+                       + [_block_words(k) for k in sorted(block_ids)])
+    v = domain.evaluate(g)
+    if v == domain.full ^ 1:
         return 1
-    if not any(values) and accepts_empty:
+    if v == 1:
         return -1
     raise ExtractionError(
         f"sub-formula {g} fits neither polarity: it must either accept all "

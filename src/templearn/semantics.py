@@ -139,6 +139,11 @@ class _Fixpoints:
                              **self._replicated(rep))
         return view
 
+    def accepts(self, vector: int, example: int) -> bool:
+        """Does `vector` hold at every start position of example `example`?"""
+        mask = self.starts[example]
+        return vector & mask == mask
+
     def unary(self, op: str, a: int, quantifier: str | None = None) -> int:
         return OPERATOR_TABLE[op, quantifier](self)(a)
 
@@ -177,8 +182,9 @@ class LtlDomain(_Fixpoints):
     """A fixed tuple of words over which formula vectors are computed.
 
     Bit `start_bits[w] + c` of a vector is the value at suffix class `c` of
-    word `w`.  The domain exposes the per-operator vector transformers so that
-    callers (the checker, the learner) can build vectors bottom-up.
+    word `w`, and `starts[w]` is the mask of its first class.  The domain
+    exposes the per-operator vector transformers so that callers (the
+    checker, the learner) can build vectors bottom-up.
     """
 
     logic = LTL
@@ -195,6 +201,7 @@ class LtlDomain(_Fixpoints):
             p = len(w.period)
             loop_starts[p] = loop_starts.get(p, 0) | 1 << (offset + w.loop_start)
             offset += w.length
+        self.starts = [1 << bit for bit in self.start_bits]
         self.size = offset
         self.full = (1 << offset) - 1
         self._body = body
@@ -228,13 +235,14 @@ class LtlDomain(_Fixpoints):
 
 
 class CtlDomain(_Fixpoints):
-    """A fixed tuple of structures; vectors carry one bit per state."""
+    """A fixed tuple of structures; vectors carry one bit per state, and
+    `starts[m]` is the mask of the initial states of structure `m`."""
 
     logic = CTL
 
     def __init__(self, structures):
         self.structures = tuple(structures)
-        self.init_masks = []
+        self.starts = []
         # Per structure: its offset, the mask of its states, and the
         # predecessor mask of each state with a predecessor, both local.
         self._blocks = []
@@ -249,7 +257,7 @@ class CtlDomain(_Fixpoints):
             init = 0
             for s in m.initial:
                 init |= 1 << (offset + index[s])
-            self.init_masks.append(init)
+            self.starts.append(init)
             offset += len(m.states)
         self.size = offset
         self.full = (1 << offset) - 1
@@ -298,10 +306,6 @@ class CtlDomain(_Fixpoints):
     def quant_binary(self, quantifier: str, op: str, a: int, b: int) -> int:
         return OPERATOR_TABLE[op, quantifier](self)(a, b)
 
-    def accepts(self, vector: int, structure_index: int) -> bool:
-        mask = self.init_masks[structure_index]
-        return vector & mask == mask
-
 
 def satisfaction_vector(f: Formula, word: Word) -> tuple:
     """Truth value of `f` at every suffix class of `word`."""
@@ -331,26 +335,23 @@ def check_separating(f: Formula, sample: Sample) -> bool:
     """Does `f` hold on every positive example and fail on every negative one?
 
     One domain over all the examples and one evaluation; each example is
-    then read off at its start class or its initial states.
+    then read off at its start mask: its first class or its initial states.
     """
-    examples = sample.positives + sample.negatives
-    if sample.logic == LTL:
-        if not is_ltl(f):
-            raise ValueError("a branching-time formula cannot be checked "
-                             "against a linear-time sample")
-        domain = LtlDomain(examples)
-        starts = [1 << bit for bit in domain.start_bits]
-    else:
-        if not is_ctl(f):
-            raise ValueError("a linear-time formula cannot be checked "
-                             "against a branching-time sample")
-        domain = CtlDomain(examples)
-        starts = domain.init_masks
+    ltl = sample.logic == LTL
+    if ltl and not is_ltl(f):
+        raise ValueError("a branching-time formula cannot be checked "
+                         "against a linear-time sample")
+    if not ltl and not is_ctl(f):
+        raise ValueError("a linear-time formula cannot be checked "
+                         "against a branching-time sample")
     extra = prop_names(f) - sample.alphabet
     if extra:
         raise ValueError(f"formula uses {sorted(extra)[0]!r} outside the "
                          f"sample alphabet")
+    domain = (LtlDomain if ltl else CtlDomain)(sample.positives
+                                                + sample.negatives)
     v = domain.evaluate(f)
+    starts = domain.starts
     n_pos = len(sample.positives)
     return (all(v & m == m for m in starts[:n_pos])
             and not any(v & m == m for m in starts[n_pos:]))

@@ -60,8 +60,7 @@ from .reductions import (
     reduce_sat, sat_oracle, satisfies,
 )
 from .semantics import (
-    CtlDomain, LtlDomain, check_ctl, check_ltl, naive_check_ltl,
-    satisfaction_vector,
+    CtlDomain, LtlDomain, naive_check_ltl, satisfaction_vector,
 )
 from .transforms import (
     analyze_conciseness, is_temporal_free, strip_quantifiers,
@@ -138,8 +137,9 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
     right operand, W to the disjunction and M to the conjunction.  Operands
     are evaluated once; the compound values are produced by the same vector
     operations the checker itself applies at a compound node, and a seeded
-    random sample of compound formulas is re-checked end to end through
-    `check_ltl` to pin the two routes together.  A final pass checks the
+    random sample of compound formulas is re-checked end to end, each
+    compound and its reduct evaluated on the domain of all constant words,
+    to pin the two routes together.  A final pass checks the
     same identities for *every* signature bit-vector combination, covering
     operands of arbitrary size.
     """
@@ -191,8 +191,9 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
         op = rng.choice((UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
         compound = LtlBinary(op, f1, f2)
         reduct = reducts[op](f1, f2)
-        for w in words:
-            if check_ltl(compound, w) != check_ltl(reduct, w):
+        diff = dom.evaluate(compound) ^ dom.evaluate(reduct)
+        for i, w in enumerate(words):
+            if diff >> i & 1:
                 bad.add(f"{print_formula(compound)} vs "
                         f"{print_formula(reduct)} on {w}")
 
@@ -480,11 +481,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
         cross_checked += 1
         ast = enum.build_formula(enum.builds[nid],
                                  lambda i: Prop(props[i]), op_builders)
-        vec = 0
-        for i, w in enumerate(words):
-            if check_ltl(ast, w):
-                vec |= 1 << i
-        if vec != enum.payloads[nid]:
+        if dom.evaluate(ast) != enum.payloads[nid]:
             elim.add(f"signature mismatch for {print_formula(ast)}")
         image = temporal_eliminate(ast)
         if image != tf.formula(trids[nid]):
@@ -539,41 +536,41 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
                             sample_max_size: int = 5) -> SuiteResult:
     """On a single-state structure, path quantifiers are inert.
 
-    Checks `check_ctl(f, M) == check_ltl(strip_quantifiers(f), w)` where M
-    is the one-state self-loop structure carrying the same letter as the
-    constant word w: literally for every branching-time formula up to
-    `literal_max_size`, for a seeded random sample of larger formulas, and
-    for every operator over every combination of signature bit-vectors —
-    the last closing the property under composition, which extends it to
-    formulas of every size.
+    Checks that `f` holds on M exactly when `strip_quantifiers(f)` holds
+    on w, where M is the one-state self-loop structure carrying the same
+    letter as the constant word w: literally for every branching-time
+    formula up to `literal_max_size`, for a seeded random sample of larger
+    formulas, and for every operator over every combination of signature
+    bit-vectors — the last closing the property under composition, which
+    extends it to formulas of every size.  Each formula is evaluated once
+    over all the structures and its stripped form once over all the words;
+    bit `i` of either vector is letter `i`.
     """
     start = time.time()
     words = constant_words(props)
     structures = constant_structures(props)
     ldom = LtlDomain(words)
     cdom = CtlDomain(structures)
+    letters = single_letters(props)
     bad = _Violations()
+
+    def check(f):
+        stripped = strip_quantifiers(f)
+        diff = cdom.evaluate(f) ^ ldom.evaluate(stripped)
+        for i, letter in enumerate(letters):
+            if diff >> i & 1:
+                bad.add(f"{print_formula(f)} vs {print_formula(stripped)} "
+                        f"on letter {sorted(letter)}")
 
     checked = 0
     for f in enumerate_formulas(props, literal_max_size, logic=CTL):
         checked += 1
-        stripped = strip_quantifiers(f)
-        for w, m in zip(words, structures):
-            if check_ctl(f, m) != check_ltl(stripped, w):
-                bad.add(f"{print_formula(f)} vs {print_formula(stripped)} "
-                        f"on letter {sorted(w.period[0])}")
+        check(f)
 
     rng = random.Random(seed)
-    sampled = 0
     for _ in range(sample_count):
-        f = _random_formula(rng, props, sample_max_size, _ctl_unary,
-                            _ctl_binary)
-        sampled += 1
-        stripped = strip_quantifiers(f)
-        for w, m in zip(words, structures):
-            if check_ctl(f, m) != check_ltl(stripped, w):
-                bad.add(f"{print_formula(f)} vs {print_formula(stripped)} "
-                        f"on letter {sorted(w.period[0])}")
+        check(_random_formula(rng, props, sample_max_size, _ctl_unary,
+                              _ctl_binary))
 
     # Operator tables over all signature combinations: every quantified
     # operator agrees with its quantifier-free counterpart, and the shared
@@ -602,12 +599,12 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
 
     return SuiteResult(
         name="quantifier-transfer",
-        checked=checked + sampled,
+        checked=checked + sample_count,
         violation_count=bad.count,
         violations=tuple(bad.kept),
         elapsed_seconds=time.time() - start,
         details={"exhaustive_formulas": checked, "literal_max_size":
-                 literal_max_size, "sampled_formulas": sampled,
+                 literal_max_size, "sampled_formulas": sample_count,
                  "signature_combinations": table_checked ** 2},
     )
 

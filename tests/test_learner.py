@@ -100,9 +100,10 @@ class TestBoundHandling:
         out = learn(self.sample(), LearnConfig(bound=13, bound_limit=13))
         assert out.decision
 
-    def test_logic_mismatch(self):
-        with pytest.raises(ValueError, match="configuration is for"):
-            learn(self.sample(bound=2), LearnConfig(logic="ctl"))
+    def test_logic_comes_from_the_sample(self):
+        ctl_sample = reduce_ltl_to_ctl(self.sample(bound=2))
+        out = learn(ctl_sample, LearnConfig(bound=2))
+        assert out.decision and out.witness == parse_ctl("p")
 
 
 class TestExactlyMode:
@@ -506,8 +507,7 @@ class TestFlushBoundaries:
         for name in ("sat-b", "unsat-a"):
             s = reduce_sat(CnfInstance(3, PINNED_CNFS[name]))
             for sample in (s, reduce_ltl_to_ctl(s)):
-                yield (f"{name}/{sample.logic}", sample,
-                       LearnConfig(logic=sample.logic))
+                yield (f"{name}/{sample.logic}", sample, LearnConfig())
 
     def test_outcomes_do_not_depend_on_the_lane_cap(self, monkeypatch):
         runs = {cap: self.outcomes(monkeypatch, cap) for cap in (1, 3, 4096)}
@@ -553,7 +553,7 @@ class TestCtlLearning:
         good, bad = self.structures()
         s = Sample(["p"], "ctl", [good], [bad], bound=3)
         fast = learn(s)
-        slow = learn(s, LearnConfig(logic="ctl", dedup=DedupMode.NONE))
+        slow = learn(s, LearnConfig(dedup=DedupMode.NONE))
         assert fast.decision == slow.decision and fast.size == slow.size
 
 
@@ -734,8 +734,7 @@ class TestPinnedSearches:
             for mode, kwargs in PINNED_MODES.items():
                 bound = (3 if mode == "none" and not name.startswith("lasso")
                          else None)
-                out = learn(s, LearnConfig(logic=s.logic, bound=bound,
-                                           **kwargs))
+                out = learn(s, LearnConfig(bound=bound, **kwargs))
                 seen[name, mode] = (
                     out.decision,
                     print_formula(out.witness) if out.witness else None,

@@ -216,6 +216,13 @@ class TestExtractDisjunction:
         with pytest.raises(ExtractionError, match="polarity|neither"):
             extract_disjunction(parse_ltl("(x1_bar -> x2) | x3"))
 
+    def test_formula_accepting_every_word_fits_no_polarity(self):
+        # x1 -> (x2 -> x3) holds on the empty word and on every consistency
+        # word, so it is neither positive nor negative.
+        with pytest.raises(ExtractionError,
+                           match="x1 -> x2 -> x3 fits neither polarity"):
+            extract_disjunction(parse_ltl("x1 -> (x2 -> x3)"))
+
     def test_unknown_block_is_rejected(self):
         with pytest.raises(ExtractionError, match="no"):
             extract_disjunction(parse_ltl("x1 | other"))

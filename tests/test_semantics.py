@@ -156,7 +156,9 @@ class TestNaiveOracle:
 
 class TestMultiWordDomain:
     """Words of different period lengths share one domain, and with it the
-    shifts that carry each loop start to the last class of its word."""
+    shifts that carry each loop start to the last class of its word; so do
+    structures of different sizes.  Either way each example's slice is its
+    own evaluation, and `accepts` reads its verdict off its start mask."""
 
     def test_each_word_slice_matches_its_own_evaluation(self):
         rng = random.Random(13)
@@ -167,7 +169,7 @@ class TestMultiWordDomain:
             for _ in range(5):
                 f = random_ltl(rng, ["p", "q"], 4)
                 v = domain.evaluate(f)
-                for off, w in zip(domain.start_bits, words):
+                for k, (off, w) in enumerate(zip(domain.start_bits, words)):
                     expected = satisfaction_vector(f, w)
                     got = tuple(bool(v >> (off + i) & 1)
                                 for i in range(w.length))
@@ -175,6 +177,25 @@ class TestMultiWordDomain:
                     for i in range(w.length):
                         assert naive_check_ltl(f, w, i) == got[i], (
                             str(f), str(w), i)
+                    assert domain.accepts(v, k) == check_ltl(f, w)
+        several_initial = 0
+        for _ in range(150):
+            structures = structures_of_size(rng, ["p", "q"],
+                                            rng.randint(1, 16))
+            several_initial += sum(len(m.initial) > 1 for m in structures)
+            domain = CtlDomain(structures)
+            for _ in range(5):
+                f = insert_quantifiers(random_ltl(rng, ["p", "q"], 4),
+                                       rng.choice(QUANTIFIERS))
+                v = domain.evaluate(f)
+                off = 0
+                for k, m in enumerate(structures):
+                    got = frozenset(s for i, s in enumerate(m.states)
+                                    if v >> (off + i) & 1)
+                    assert got == satisfying_states(f, m), (str(f), k)
+                    assert domain.accepts(v, k) == check_ctl(f, m)
+                    off += len(m.states)
+        assert several_initial
 
 
 def words_of_size(rng, props, n):

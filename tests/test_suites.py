@@ -2,6 +2,8 @@
 
 import pytest
 
+from templearn import suites
+from templearn.formulas import AND, LtlBinary, Prop, size
 from templearn.suites import (
     SuiteResult, exhaustive_cnfs, random_cnfs, resolve_jobs,
     run_cnf_round_trip, run_ctl_round_trip, run_formula_sweep,
@@ -125,3 +127,52 @@ class TestSmallRuns:
         assert not result.passed
         assert result.violation_count == len(instances)
         assert result.violations  # messages kept for the report
+
+
+class TestPlantedFaults:
+    """With a fault planted in what a suite compares against, the suite
+    reports each wrong example under its own letter or word: the counts and
+    first messages below were recorded with the per-letter checkers."""
+
+    @staticmethod
+    def and_p(formula):
+        return LtlBinary(AND, formula, Prop("p"))
+
+    def test_quantifier_transfer_reports_each_wrong_letter(self,
+                                                           monkeypatch):
+        strip = suites.strip_quantifiers
+        monkeypatch.setattr(
+            suites, "strip_quantifiers",
+            lambda f: self.and_p(strip(f)) if size(f) == 2 else strip(f))
+        result = run_quantifier_transfer(literal_max_size=3,
+                                         props=("p", "q"),
+                                         sample_count=300, seed=5)
+        assert (result.checked, result.violation_count) == (1998, 55)
+        assert result.violations[:8] == (
+            "!p vs !p & p on letter []",
+            "!p vs !p & p on letter ['q']",
+            "p -> p vs (p -> p) & p on letter []",
+            "p -> p vs (p -> p) & p on letter ['q']",
+            "p <-> p vs (p <-> p) & p on letter []",
+            "p <-> p vs (p <-> p) & p on letter ['q']",
+            "!q vs !q & p on letter []",
+            "E X q vs X q & p on letter ['q']",
+        )
+
+    def test_reducts_report_each_wrong_word(self, monkeypatch):
+        # The M reduct is the only conjunction the suite builds.
+        build = suites.LtlBinary
+
+        def binary(op, left, right):
+            f = build(op, left, right)
+            return self.and_p(f) if op == AND else f
+
+        monkeypatch.setattr(suites, "LtlBinary", binary)
+        result = run_reduct_identities(max_size=2, props=("p", "q"),
+                                       sample_count=200, seed=3)
+        assert (result.checked, result.violation_count) == (902, 17)
+        assert result.violations[:3] == (
+            "G q M G q vs G q & G q & p on | {q}",
+            "(p -> p) M X q vs (p -> p) & X q & p on | {q}",
+            "(q U q) M q M q vs q U q & q M q & p on | {q}",
+        )

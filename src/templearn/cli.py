@@ -183,13 +183,19 @@ def _cmd_learn(args) -> int:
     sample = _load_sample(args.sample)
     try:
         config = _learn_config(args)
+        bound = config.bound if config.bound is not None else sample.bound
+        if bound is not None and bound > config.bound_limit:
+            raise ValueError(
+                f"bound {bound} exceeds the command line's cap of "
+                f"{config.bound_limit}; the search is exponential in the "
+                f"bound, and only the library can raise the cap "
+                f"(LearnConfig.bound_limit)")
         outcome = learn(sample, config)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     report = _Report("learn", args.json)
     report.input_file("sample", args.sample)
-    report.input_value("bound", config.bound
-                       if config.bound is not None else sample.bound)
+    report.input_value("bound", bound)
     report.input_value("bound_mode", config.bound_mode.value)
     report.input_value("dedup", config.dedup.value)
     report.field("decision", outcome.decision,

@@ -18,12 +18,15 @@ jointly cover every operator application exactly once:
   the exact layer `|union| + 1`.
 
 Each layer below the bound (at bound 1, the seeds) is composed in one
-pass: one comprehension over the operator functions, one update of the
-distinct set and one screen for separating signatures.  Only the candidates
-that are kept are registered, in layer order, because that order decides
-which of several same-signature candidates is kept: in SEMANTIC mode the
-first of each new signature, and none from the layer's first separating
-candidate on, so that a search that has its answer expands nothing further.
+pass: one comprehension over the operator functions, then one dict from
+each of the layer's distinct signatures to its first position.  That dict
+updates the distinct set, is screened for separating signatures (a hit's
+positions are looked up only then), and gives the keep list as its keys
+less the signatures kept before.  Only the candidates that are kept are
+registered, in layer order, because that order decides which of several
+same-signature candidates is kept: in SEMANTIC mode the first of each new
+signature, and none from the layer's first separating candidate on, so
+that a search that has its answer expands nothing further.
 
 Candidates of exactly the bound are never registered, yet they are most of
 the search.  Each registration hands its share of them over at once, as
@@ -31,15 +34,20 @@ lists of operand ids.  A partner of a registration two below the bound
 completes it in the final layer when the partner lies outside its closure
 and the partner's operands inside, so those partners are looked up by their
 operands rather than found by a popcount over every earlier candidate.  The
-shares only queue their operand ids; a flush runs each operator row of the
-table once over every queued operand pair (or operand, for a unary row),
-packed side by side in the lanes of one int (`domain.lanes`): one bitwise
-step or one fixpoint on a wide vector instead of one per candidate.  Each
-row's lanes go to the distinct set in one update, and the screen of start
-positions runs on the packed vector, so that only the lanes that pass it
-get the full separation test.  The queue is flushed when it
-holds `_LANE_CAP` lanes, when the search reaches the final layer, and once
-after the last layer.
+shares only queue operand ids, and only of their forward pairs `(nid, d)`:
+every such pair with `d != nid` has its mirror `(d, nid)` in the final
+layer too.  A flush runs each operator row of the table once over the
+queue, packed side by side in the lanes of one int (`domain.lanes`): one
+bitwise step or one fixpoint on a wide vector instead of one per candidate.
+A unary row runs over the queued operands.  A commuting row (`&`, `|`,
+`<->`) runs over the forward pairs only, and each winning pair `(a, b)`
+with `a != b` adds its mirror `(b, a)` to the winners; any other binary
+row runs over the forward pairs followed by their mirrors, built from the
+same two packed ints.  Each row's lanes go to the distinct set in one
+update, and the screen of start positions runs on the packed vector, so
+that only the lanes that pass it get the full separation test.  The queue
+is flushed when its widest packed call would reach `_LANE_CAP` lanes, when
+the search reaches the final layer, and once after the last layer.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -68,7 +76,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .formulas import (
-    AND, CTL, LTL, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    AND, CTL, IFF, LTL, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
     LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS,
     Formula, OperatorSet, Prop, conforms, is_ctl, is_ltl, node_builder, size,
     structural_key,
@@ -370,10 +378,15 @@ def _build_domain(sample: Sample):
     return domain, pos_mask, screen, is_separating, trivial
 
 
-# How many lanes (operand pairs, plus one operand per share with unary rows)
-# the final layer queues before a flush; it bounds the memory that the
-# queued ids and each row's packed and unpacked lanes hold.
+# How wide the final layer's widest packed call may grow before a flush:
+# twice the queued forward pairs (a non-commuting row runs over them and
+# their mirrors) plus the queued unary operands.  It bounds the memory that
+# the queued ids and each row's packed and unpacked lanes hold.
 _LANE_CAP = 4096
+
+# The binary rows whose operands commute: the mirror of a lane has the
+# lane's own signature.
+_COMMUTING = frozenset((op, None) for op in (AND, OR, IFF))
 
 
 def _run_search(names, domain, rows, pos_mask, screen, is_separating,
@@ -397,74 +410,95 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     def layer(cost, triples):
         # Every separating candidate of the layer wins.  Without a fixed
         # winning cost, registration stops at the first of them, so that
-        # nothing past it is expanded.
+        # nothing past it is expanded.  The screen and the keep list run
+        # over the layer's distinct signatures, each at its first position.
         sigs = enum.compose(fns, triples)
-        distinct.update(sigs)
         n = stop = len(sigs)
+        first = dict(zip(reversed(sigs), range(n - 1, -1, -1)))
+        distinct.update(first)
         if winners_at is None or cost == winners_at:
-            found = [i for i, sig in enumerate(sigs)
-                     if sig & screen == pos_mask and is_separating(sig)]
-            if found:
-                winners[cost] = [triples[i] for i in found]
+            won = {sig for sig in first
+                   if sig & screen == pos_mask and is_separating(sig)}
+            if won:
+                winners[cost] = [t for t, sig in zip(triples, sigs)
+                                 if sig in won]
                 if winners_at is None:
-                    stop = found[0]
+                    stop = min(map(first.__getitem__, won))
         if not semantic:
             return range(stop), sigs
         # The first candidate of each signature that is new, in layer order.
-        first = dict(zip(reversed(sigs), range(n - 1, -1, -1)))
-        keep = sorted(i for sig, i in first.items()
-                      if i < stop and sig not in kept_sigs)
+        keep = sorted(i for i in map(first.__getitem__,
+                                     first.keys() - kept_sigs) if i < stop)
         kept_sigs.update(first)
         return keep, [sigs[i] for i in keep]
 
-    # The final layer's queue: lane `i` of every binary row is the pair
-    # `(left_ids[i], right_ids[i])`, and of every unary row `unary_ids[i]`.
+    # The final layer's queue: the forward pairs `(left_ids[i],
+    # right_ids[i])` of the binary rows, and the operands `unary_ids[i]` of
+    # the unary rows.  Mirrors are not queued.
     left_ids: list = []
     right_ids: list = []
     unary_ids: list = []
     encoded: list = []  # payloads[i] as one lane's bytes
     width = domain.lane_bytes
     bits = 8 * width
+    binary = range(n_unary, len(fns))
+    commuting = [op for op in binary if all_rows[op] in _COMMUTING]
+    ordered = [op for op in binary if all_rows[op] not in _COMMUTING]
 
     def visit_top(nid, unary, rights, lefts):
-        # The pairs `(nid, d)` for `d` in `rights` and `(d, nid)` for `d` in
-        # `lefts`, and `nid` itself when the share has unary rows.
+        # `lefts`, the mirrors' partners, is `rights` less `nid` itself.
         if unary:
             unary_ids.append(nid)
         left_ids.extend([nid] * len(rights))
-        left_ids.extend(lefts)
         right_ids.extend(rights)
-        right_ids.extend([nid] * len(lefts))
-        if len(left_ids) + len(unary_ids) >= _LANE_CAP:
+        if 2 * len(left_ids) + len(unary_ids) >= _LANE_CAP:
             flush()
 
+    def pack(ids):
+        return int.from_bytes(b"".join(map(encoded.__getitem__, ids)),
+                              "little")
+
+    def hits(opcodes, k, xs):
+        # One packed call per row over `k` lanes.  Every lane's signature
+        # goes to the distinct set; the screen runs on the packed vector,
+        # and only the lanes that pass it get the full test.
+        view = domain.lanes(k)
+        rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
+        screens, wants = screen * rep, pos_mask * rep
+        for op in opcodes:
+            packed = view.op(*all_rows[op])(*xs)
+            sigs = _unpack(packed, width, k)
+            distinct.update(sigs)
+            for i in _zero_lanes((packed & screens) ^ wants, width, rep):
+                if is_separating(sigs[i]):
+                    yield op, i
+
     def flush():
-        # One packed call per operator row over every queued lane.  Every
-        # lane's signature goes to the distinct set; the screen runs on the
-        # packed vector, and only the lanes that pass it get the full test.
+        # A commuting row runs over the `k` forward lanes; any other binary
+        # row over `2k`, the forward pairs and then their mirrors, where the
+        # mirror of a pair `(a, a)` repeats its forward lane and is dropped.
         encoded.extend(p.to_bytes(width, "little")
                        for p in payloads[len(encoded):])
         found = []
-        for opcodes, lefts, rights in ((range(n_unary), unary_ids, None),
-                                       (range(n_unary, len(fns)), left_ids,
-                                        right_ids)):
-            k = len(lefts)
-            if not (k and opcodes):
-                continue
-            xs = [int.from_bytes(b"".join(map(encoded.__getitem__, ids)),
-                                 "little")
-                  for ids in (lefts, rights) if ids is not None]
-            view = domain.lanes(k)
-            rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
-            screens, wants = screen * rep, pos_mask * rep
-            for op in opcodes:
-                packed = view.op(*all_rows[op])(*xs)
-                sigs = _unpack(packed, width, k)
-                distinct.update(sigs)
-                found += [(op, lefts[i], -1 if rights is None else rights[i])
-                          for i in _zero_lanes((packed & screens) ^ wants,
-                                               width, rep)
-                          if is_separating(sigs[i])]
+        if unary_ids and n_unary:
+            found += [(op, unary_ids[i], -1) for op, i in
+                      hits(range(n_unary), len(unary_ids),
+                           (pack(unary_ids),))]
+        if left_ids:
+            k = len(left_ids)
+            x, y = pack(left_ids), pack(right_ids)
+            for op, i in hits(commuting, k, (x, y)):
+                a, b = left_ids[i], right_ids[i]
+                found.append((op, a, b))
+                if a != b:
+                    found.append((op, b, a))
+            shift = k * bits
+            for op, i in hits(ordered, 2 * k, (x | y << shift,
+                                                y | x << shift)):
+                if i < k:
+                    found.append((op, left_ids[i], right_ids[i]))
+                elif left_ids[i - k] != right_ids[i - k]:
+                    found.append((op, right_ids[i - k], left_ids[i - k]))
         if found:  # the final layer's cost is the bound (or `winners_at`)
             winners.setdefault(bound, []).extend(found)
         left_ids.clear()

@@ -184,6 +184,20 @@ class TestLearn:
         assert "witness:" not in result.stdout
         assert "internal error" in result.stderr
 
+    def test_bound_cap(self, capsys, sample_file):
+        # The cap itself is allowed; one above it is refused with a message
+        # that names no option the command line lacks.
+        code, out, _ = run(capsys, "learn", "--sample", sample_file,
+                           "--bound", "12")
+        assert code == EXIT_OK and "witness: X p" in out
+        code, out, err = run(capsys, "learn", "--sample", sample_file,
+                             "--bound", "13")
+        assert code == EXIT_ERROR and not out
+        assert err == ("error: bound 13 exceeds the command line's cap of "
+                       "12; the search is exponential in the bound, and "
+                       "only the library can raise the cap "
+                       "(LearnConfig.bound_limit)\n")
+
     def test_bad_operator_name(self, capsys, sample_file):
         code, _, err = run(capsys, "learn", "--sample", sample_file,
                            "--ops", "XOR")

@@ -520,6 +520,86 @@ class TestFlushBoundaries:
         flushes = [len(runs[cap][1]) for cap in (1, 3, 4096)]
         assert flushes[0] > flushes[1] > flushes[2]
 
+    @staticmethod
+    def winners(sample, config):
+        """The winning cost of one search and its winners, printed and
+        sorted."""
+        names = sorted(sample.alphabet)
+        domain, pos_mask, screen, is_separating, trivial = _build_domain(
+            sample)
+        semantic = config.dedup == DedupMode.SEMANTIC
+        rows = learner._op_table(sample.logic, config.operators,
+                                 semantic and trivial)
+        cost, triples, enum, _ = learner._run_search(
+            names, domain, rows, pos_mask, screen, is_separating,
+            config.bound or sample.bound, semantic)
+        builders = learner._builders(sample.logic, rows)
+        return cost, sorted(print_formula(enum.build_formula(
+            t, lambda i: Prop(names[i]), builders)) for t in triples)
+
+    def test_winner_sets_do_not_depend_on_the_lane_cap(self, monkeypatch):
+        # Every winner of the final layer, mirrored ones included, and no
+        # other: the witness alone would not show a lost or extra mirror.
+        for cap in (1, 3, 4096):
+            monkeypatch.setattr(learner, "_LANE_CAP", cap)
+            assert {name: self.winners(s, cfg) for name, s, cfg
+                    in self.searches()} == WINNERS
+
+
+_SAT_B_WINNERS = (5, [
+    "(x3_bar <-> x1_bar) -> x2", "(x3_bar <-> x2) -> x1",
+    "(x3_bar <-> x2) -> x1_bar", "x1 | (x3_bar | x2)",
+    "x1_bar | (x3_bar | x2)", "x2 | (x3_bar | x1)",
+    "x2 | (x3_bar | x1_bar)", "x2 | x1 | x3_bar", "x2 | x1_bar | x3_bar",
+    "x3_bar | (x2 | x1)", "x3_bar | (x2 | x1_bar)", "x3_bar | x1 | x2",
+    "x3_bar | x1_bar | x2", "x3_bar | x2 | x1", "x3_bar | x2 | x1_bar"])
+
+# The winners of `TestFlushBoundaries.searches()`, as `winners` gives them.
+WINNERS = {
+    "three-props": (4, [
+        "!(X r <-> r)", "!(r -> X r)", "!(r <-> X r)", "!X r & r",
+        "!X r <-> r", "!r <-> X r", "X !r & r", "X !r <-> r", "X r <-> !r",
+        "r & !X r", "r & X !r", "r <-> !X r", "r <-> X !r", "r M !X r",
+        "r M X !r"]),
+    "sat-b/ltl": _SAT_B_WINNERS,
+    "sat-b/ctl": _SAT_B_WINNERS,
+    "unsat-a/ltl": (None, []),
+    "unsat-a/ctl": (None, []),
+}
+
+
+class TestMirroredWinners:
+    """A commuting row runs over the forward pairs only, so its mirrored
+    winners must still reach the tie-break: here the least witness is a
+    mirror, `p` being the older operand."""
+
+    @pytest.mark.parametrize("dedup", list(DedupMode))
+    @pytest.mark.parametrize("pos, neg, want", [
+        (["| {p,q}"], ["| {p}", "| {q}", "| {}"], "p & q"),
+        (["| {p}", "| {q}"], ["| {}", "| {r}"], "p | q"),
+    ])
+    def test_the_mirror_decides_the_tie_break(self, dedup, pos, neg, want):
+        sample = Sample(["p", "q", "r"], "ltl", [word(t) for t in pos],
+                        [word(t) for t in neg])
+        out = learn(sample, LearnConfig(bound=3, dedup=dedup))
+        assert out.decision and out.size == 3
+        assert out.witness == parse_ltl(want)
+
+    def test_each_winner_counts_once(self):
+        # At a fixed winning cost every winner of the final layer counts,
+        # among them pairs `(a, a)` of non-commuting rows, whose mirror
+        # lane repeats the forward lane.
+        sample = Sample(["p", "q"], "ltl", [word("| {p}"),
+                                            word("{q} | {p};{q}")],
+                        [word("| {}")])
+        domain, pos_mask, screen, is_separating, _ = _build_domain(sample)
+        rows = learner._op_table("ltl", OperatorSet.full(), False)
+        _, triples, _, _ = learner._run_search(
+            ["p", "q"], domain, rows, pos_mask, screen, is_separating, 3,
+            False, winners_at=3)
+        assert any(a == b for _, a, b in triples)
+        assert len(set(triples)) == len(triples)
+
 
 class TestCtlLearning:
     def structures(self):

@@ -27,8 +27,7 @@ from .formulas import (
 )
 from .learner import BoundMode, DedupMode, LearnConfig, learn, verify
 from .models import (
-    CTL, LTL, Sample, SampleFormatError, load_sample, save_sample,
-    word_to_text,
+    CTL, LTL, Sample, load_sample, save_sample, word_to_text,
 )
 from .reductions import (
     ExtractionError, extract_valuation, parse_dimacs, reduce_ltl_to_ctl,
@@ -299,10 +298,6 @@ def _cmd_extract(args) -> int:
                  {f"x{k}": valuation[k] for k in sorted(valuation)}, text)
     report.emit()
     return EXIT_OK
-
-
-_SWEEP_NAMES = ("temporal-elimination", "subformula-counting",
-                "concise-representation", "distinguishability")
 
 
 def _cmd_verify_properties(args) -> int:

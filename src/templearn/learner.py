@@ -83,6 +83,7 @@ from .formulas import (
 )
 from .models import Sample
 from .semantics import CtlDomain, LtlDomain, check_separating
+from .transforms import SINGLE_LETTER_REDUCT
 
 
 class BoundMode(Enum):
@@ -146,17 +147,16 @@ class ClosureEnumeration:
     ``max_size``, schedules its applications, so a callback stops the
     search from expanding by keeping nothing from some position on.
     ``closures[i]`` is the bitset of the ids of the proper sub-formulas of
-    candidate ``i``.
+    candidate ``i``, so its cost is ``closures[i].bit_count() + 1``.
 
     Candidates of exactly ``max_size`` are never registered.  They form the
     final and by far the largest layer, so they are not materialized one by
     one: each registration hands its share of them to ``visit_top(nid,
-    unary, rights, lefts)`` in one call, the moment they are scheduled and
-    out of cost order.  The share is every unary opcode applied to ``nid``
-    when ``unary`` is set, and for every binary opcode the pairs ``(nid,
-    d)`` for ``d`` in ``rights`` and ``(d, nid)`` for ``d`` in ``lefts``;
-    ``lefts`` is ``rights`` or, when that ends with ``nid`` itself,
-    ``rights[:-1]``.  :meth:`top_triples` lists a share in schedule order.
+    unary, partners)`` in one call, the moment they are scheduled and out
+    of cost order.  The share is every unary opcode applied to ``nid`` when
+    ``unary`` is set, and for every binary opcode the pairs ``(nid, d)``
+    for ``d`` in ``partners`` and their mirrors ``(d, nid)`` for ``d !=
+    nid``.  :meth:`top_triples` lists a share in schedule order.
 
     ``run()`` yields each completed cost layer, ``max_size`` included.
     """
@@ -172,10 +172,10 @@ class ClosureEnumeration:
         self.generated = 0
         self.payloads: list = []
         self.closures: list = []
-        self.costs: list = []
         self.builds: list = []  # (opcode, left, right); seeds (-1, index, -1)
-        self._pairable: list = []
-        self._pairable_closures: list = []  # each including the id itself
+        # The closure, the id itself included, of each pairable id: those of
+        # cost below ``max_size - 1``, so ``0..n-1`` as costs never decrease.
+        self._pairable_closures: list = []
         # Pairable ids by their operands: (-1, -1) for seeds, (-1, a) for
         # unary and (min, max) for binary candidates.
         self._by_operands: dict = {}
@@ -218,7 +218,6 @@ class ClosureEnumeration:
         nid = len(self.payloads)
         self.payloads.append(payload)
         self.closures.append(union)
-        self.costs.append(cost)
         self.builds.append((opcode, left, right))
         ms = self.max_size
         if cost == ms:
@@ -230,7 +229,7 @@ class ClosureEnumeration:
             if binary:
                 subs.append(nid)
             self.generated += self.n_unary + len(binary) * (2 * len(subs) - 1)
-            self.visit_top(nid, True, subs, subs[:-1])
+            self.visit_top(nid, True, subs)
             return
         bucket = self._buckets[cost + 1]
         bucket += [(op, nid, -1) for op in range(self.n_unary)]
@@ -243,16 +242,15 @@ class ClosureEnumeration:
         # their union's size plus one; the union has this closure's own
         # size exactly when the partner lies inside the closure.
         closure = union | 1 << nid
-        pairable = self._pairable
         by_operands = self._by_operands
         if cost < ms - 2:
             counts = [(closure | c).bit_count()
                       for c in self._pairable_closures]
-            for g, k in zip(pairable, counts):
+            for g, k in enumerate(counts):
                 if cost < k < ms - 1:
                     self._buckets[k + 1] += [t for op in binary for t in
                                              ((op, nid, g), (op, g, nid))]
-            top = [g for g, k in zip(pairable, counts) if k == ms - 1]
+            top = [g for g, k in enumerate(counts) if k == ms - 1]
         else:
             # Every union reaches the final layer, and it is one id larger
             # than the closure when the partner lies outside the closure
@@ -263,24 +261,23 @@ class ClosureEnumeration:
                          if not union >> g & 1)
         if top:
             self.generated += 2 * len(binary) * len(top)
-            self.visit_top(nid, False, top, top)
-        pairable.append(nid)
+            self.visit_top(nid, False, top)
         self._pairable_closures.append(closure)
         key = ((-1, -1) if opcode < 0 else (-1, left) if right < 0
                else (min(left, right), max(left, right)))
         by_operands.setdefault(key, []).append(nid)
 
-    def top_triples(self, nid, unary, rights, lefts):
+    def top_triples(self, nid, unary, partners):
         """The (opcode, left, right) triples of one ``visit_top`` share, in
         the order they were scheduled."""
         if unary:
             for op in range(self.n_unary):
                 yield op, nid, -1
         binary = range(self.n_unary, self.n_ops)
-        for j, d in enumerate(rights):
+        for d in partners:
             for op in binary:
                 yield op, nid, d
-                if j < len(lefts):
+                if d != nid:
                     yield op, d, nid
 
     def build_formula(self, triple, seed_builder, op_builders) -> Formula:
@@ -313,30 +310,23 @@ def _op_table(logic: str, operators: OperatorSet, skip_trivial: bool):
     path-quantified operators of CTL.  Rows follow the fixed operator order,
     existential before universal; a row's index is its opcode, unary rows
     first.  With `skip_trivial` (all examples single-letter, SEMANTIC mode)
-    the temporal operators whose single-letter reduct is always generated
-    anyway are omitted: X/F/G/U/R collapse to a sub-formula, W to the
-    disjunction and M to the conjunction of its operands — so W and M are
-    only skipped when that reduct's connective is itself allowed.
+    a temporal row is omitted when its `SINGLE_LETTER_REDUCT` is generated
+    anyway: its last operand (None), or a connective that is allowed.
     """
     quants = ((None,) if logic == LTL else
               tuple(q for q in QUANTIFIERS if q in operators.quantifiers))
+    generated = {None, *operators.binary} if skip_trivial else ()
+
+    def temporal(ops, allowed):
+        return tuple((op, q) for op in ops if op in allowed
+                     and SINGLE_LETTER_REDUCT[op] not in generated
+                     for q in quants)
+
     unary = ((NOT, None),) if NOT in operators.unary else ()
     binary = tuple((op, None) for op in LOGICAL_BINARY_OPS
                    if op in operators.binary)
-    if skip_trivial:
-        reduced = {UNTIL, RELEASE}
-        if OR in operators.binary:
-            reduced.add(WEAK_UNTIL)
-        if AND in operators.binary:
-            reduced.add(STRONG_RELEASE)
-    else:
-        reduced = set()
-        unary += tuple((op, q) for op in TEMPORAL_UNARY_OPS
-                       if op in operators.unary for q in quants)
-    binary += tuple((op, q) for op in TEMPORAL_BINARY_OPS
-                    if op in operators.binary and op not in reduced
-                    for q in quants)
-    return unary, binary
+    return (unary + temporal(TEMPORAL_UNARY_OPS, operators.unary),
+            binary + temporal(TEMPORAL_BINARY_OPS, operators.binary))
 
 
 @lru_cache(maxsize=None)
@@ -445,12 +435,11 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     commuting = [op for op in binary if all_rows[op] in _COMMUTING]
     ordered = [op for op in binary if all_rows[op] not in _COMMUTING]
 
-    def visit_top(nid, unary, rights, lefts):
-        # `lefts`, the mirrors' partners, is `rights` less `nid` itself.
+    def visit_top(nid, unary, partners):
         if unary:
             unary_ids.append(nid)
-        left_ids.extend([nid] * len(rights))
-        right_ids.extend(rights)
+        left_ids.extend([nid] * len(partners))
+        right_ids.extend(partners)
         if 2 * len(left_ids) + len(unary_ids) >= _LANE_CAP:
             flush()
 

@@ -28,7 +28,7 @@ Branching-time samples replace `pos:`/`neg:` lines with blocks:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 

@@ -49,7 +49,7 @@ from .formulas import (
     BINARY_OPS, LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS,
     TEMPORAL_UNARY_OPS, UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
-    LtlUnary, OperatorSet, Prop, print_formula,
+    LtlUnary, OperatorSet, Prop, node_builder, print_formula,
 )
 from .learner import (
     ClosureEnumeration, _builders, _op_table, enumerate_formulas, learn,
@@ -63,8 +63,8 @@ from .semantics import (
     CtlDomain, LtlDomain, naive_check_ltl, satisfaction_vector,
 )
 from .transforms import (
-    analyze_conciseness, is_temporal_free, strip_quantifiers,
-    temporal_eliminate,
+    SINGLE_LETTER_REDUCT, analyze_conciseness, is_temporal_free,
+    strip_quantifiers, temporal_eliminate,
 )
 
 _MAX_REPORTED = 20
@@ -241,11 +241,11 @@ class _TemporalFreeUniverse:
         self.domain = domain
         self.sigs = []
         self.closures = []
-        self.builds = []  # ("p", name) | (NOT, a, None) | (op, a, b)
+        self.builds = []  # (None, name, -1) | (op, a, -1) | (op, a, b)
         self._index = {}
         self.prop_ids = {}
         for name in props:
-            nid = self._add(("p", name, None), domain.prop_vector(name),
+            nid = self._add((None, name, -1), domain.prop_vector(name),
                             frozenset())
             self.prop_ids[name] = nid
 
@@ -257,40 +257,29 @@ class _TemporalFreeUniverse:
         self._index[build] = nid
         return nid
 
-    def negate(self, a: int) -> int:
-        key = (NOT, a, None)
-        nid = self._index.get(key)
-        if nid is None:
-            nid = self._add(key, self.domain.unary(NOT, self.sigs[a]),
-                            self.closures[a])
-        return nid
-
-    def combine(self, op: str, a: int, b: int) -> int:
+    def node(self, op: str, a: int, b: int = -1) -> int:
+        """The id of the connective `op` over node `a`, and over node `b`
+        unless that is -1."""
         key = (op, a, b)
         nid = self._index.get(key)
         if nid is None:
-            nid = self._add(key,
-                            self.domain.binary(op, self.sigs[a], self.sigs[b]),
-                            self.closures[a] | self.closures[b])
+            sigs, closures = self.sigs, self.closures
+            if b < 0:
+                nid = self._add(key, self.domain.unary(op, sigs[a]),
+                                closures[a])
+            else:
+                nid = self._add(key, self.domain.binary(op, sigs[a], sigs[b]),
+                                closures[a] | closures[b])
         return nid
 
     def formula(self, nid: int) -> Formula:
-        kind, a, b = self.builds[nid]
-        if kind == "p":
+        op, a, b = self.builds[nid]
+        if op is None:
             return Prop(a)
-        if kind == NOT:
-            return LtlUnary(NOT, self.formula(a))
-        return LtlBinary(kind, self.formula(a), self.formula(b))
-
-
-# How each operator contributes to the temporal-free image:
-# "keep" wraps the result, "child"/"right" forward an operand's image,
-# (op,) rebuilds with a boolean connective.
-_TR_UNARY_ACTION = {NOT: "keep", NEXT: "child", EVENTUALLY: "child",
-                    ALWAYS: "child"}
-_TR_BINARY_ACTION = {AND: "keep", OR: "keep", IMPLIES: "keep", IFF: "keep",
-                     UNTIL: "right", RELEASE: "right",
-                     WEAK_UNTIL: OR, STRONG_RELEASE: AND}
+        build = node_builder(LTL, op)
+        if b < 0:
+            return build(self.formula(a))
+        return build(self.formula(a), self.formula(b))
 
 
 def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
@@ -325,12 +314,14 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
 
     table = _op_table(LTL, OperatorSet.full(), False)
     unary_rows, binary_rows = table
-    fns = [dom.op(*row) for row in unary_rows + binary_rows]
+    rows = unary_rows + binary_rows
+    fns = [dom.op(*row) for row in rows]
     op_builders = _builders(LTL, table)
     n_unary = len(unary_rows)
-    unary_actions = [_TR_UNARY_ACTION[op] for op, _ in unary_rows]
-    binary_actions = [_TR_BINARY_ACTION[op] for op, _ in binary_rows]
-    binary_tokens = [op for op, _ in binary_rows]
+    # Per opcode: whether the row is temporal, and the connective that
+    # rebuilds its image (None: the image is its last operand's).
+    temporal_rows = [op in SINGLE_LETTER_REDUCT for op, _ in rows]
+    images = [SINGLE_LETTER_REDUCT.get(op, op) for op, _ in rows]
 
     tf = _TemporalFreeUniverse(dom, props)
     tf_sigs, tf_closures = tf.sigs, tf.closures
@@ -375,30 +366,21 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
         elif right < 0:
             mask = masks[left]
             is_concise = False
-            action = unary_actions[opcode]
-            if action == "keep":
-                is_temporal = temporal[left]
-                trid = tf.negate(trids[left])
-            else:
-                is_temporal = True
-                trid = trids[left]
+            is_temporal = temporal_rows[opcode] or temporal[left]
+            image = images[opcode]
+            trid = (trids[left] if image is None
+                    else tf.node(image, trids[left]))
             trimage = trimages[left] | {trid}
             closure_ids = closures[left]
         else:
             mask = masks[left] | masks[right]
             is_concise = (concise[left] and concise[right]
                           and not masks[left] & masks[right])
-            action = binary_actions[opcode - n_unary]
-            if action == "keep":
-                is_temporal = temporal[left] or temporal[right]
-                trid = tf.combine(binary_tokens[opcode - n_unary],
-                                  trids[left], trids[right])
-            elif action == "right":
-                is_temporal = True
-                trid = trids[right]
-            else:
-                is_temporal = True
-                trid = tf.combine(action, trids[left], trids[right])
+            is_temporal = (temporal_rows[opcode] or temporal[left]
+                           or temporal[right])
+            image = images[opcode]
+            trid = (trids[right] if image is None
+                    else tf.node(image, trids[left], trids[right]))
             trimage = trimages[left] | trimages[right] | {trid}
             closure_ids = closures[left] | closures[right]
 
@@ -475,8 +457,8 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     # Cross-check the incremental bookkeeping against the public functions
     # on every registered formula of size up to 3.
     cross_checked = 0
-    for nid, cost in enumerate(enum.costs):
-        if cost > 3:
+    for nid, closure in enumerate(enum.closures):
+        if closure.bit_count() + 1 > 3:
             continue
         cross_checked += 1
         ast = enum.build_formula(enum.builds[nid],
@@ -500,7 +482,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                             f"{print_formula(ast)}")
 
     elapsed = time.time() - start
-    details = {"formulas": checked[0], "registered": len(enum.costs),
+    details = {"formulas": checked[0], "registered": len(enum.closures),
                "cross_checked": cross_checked, "max_size": max_size,
                "image_nodes": len(tf_sigs)}
 

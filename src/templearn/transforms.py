@@ -1,5 +1,7 @@
 """Formula transformations.
 
+* `SINGLE_LETTER_REDUCT` says what each temporal operator reduces to on
+  a word of one repeated letter.
 * `temporal_eliminate` rewrites a linear-time formula into a temporal-free
   one that agrees with it on every single-letter word, without ever growing
   the set of distinct sub-formulas.
@@ -15,24 +17,30 @@ import re
 from dataclasses import dataclass, field
 
 from .formulas import (
-    AND, BINARY_OPS, CTL, LOGIC_NAMES, LTL, OR, STRONG_RELEASE, TEMPORAL_OPS,
-    UNARY_OPS, WEAK_UNTIL, Formula, is_ltl, node_builder, subformulas,
+    ALWAYS, AND, BINARY_OPS, CTL, EVENTUALLY, LOGIC_NAMES, LTL, NEXT, OR,
+    RELEASE, STRONG_RELEASE, TEMPORAL_OPS, UNARY_OPS, UNTIL, WEAK_UNTIL,
+    Formula, is_ltl, node_builder, subformulas,
 )
 
 _BLOCK_NAME_RE = re.compile(r"^x(\d+)(_bar)?$")
 
-# The single-letter reducts of W and M; every other temporal operator
-# collapses to its last operand.
-_REDUCT = {WEAK_UNTIL: OR, STRONG_RELEASE: AND}
+# The single-letter reduct of each temporal operator: on a word of one
+# repeated letter, W agrees with the disjunction and M with the conjunction
+# of its operands, and each other one (None) with its last operand.  Read by
+# `temporal_eliminate`, the learner's pruned operator rows and the formula
+# sweep; `run_reduct_identities` checks it independently.
+SINGLE_LETTER_REDUCT = {NEXT: None, EVENTUALLY: None, ALWAYS: None,
+                        UNTIL: None, RELEASE: None,
+                        WEAK_UNTIL: OR, STRONG_RELEASE: AND}
 
 
 def temporal_eliminate(f: Formula) -> Formula:
     """Remove every temporal operator while preserving single-letter truth.
 
-    Next/eventually/always nodes collapse to their operand, until/release to
-    their right operand, weak-until to a disjunction and strong-release to a
-    conjunction; logical connectives are kept.  The result's sub-formulas are
-    images of the input's sub-formulas, so the size never increases.
+    Each temporal node becomes its `SINGLE_LETTER_REDUCT` applied to the
+    images of its operands; logical connectives are kept.  The result's
+    sub-formulas are images of the input's sub-formulas, so the size never
+    increases.
     """
     if not is_ltl(f):
         raise TypeError("temporal elimination is defined on linear-time "
@@ -45,10 +53,10 @@ def temporal_eliminate(f: Formula) -> Formula:
         if r is None:
             if not g.args:
                 r = g
-            elif g.op in TEMPORAL_OPS and g.op not in _REDUCT:
+            elif (op := SINGLE_LETTER_REDUCT.get(g.op, g.op)) is None:
                 r = go(g.args[-1])
             else:
-                r = build[_REDUCT.get(g.op, g.op)](*map(go, g.args))
+                r = build[op](*map(go, g.args))
             memo[g] = r
         return r
 

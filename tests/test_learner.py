@@ -204,6 +204,37 @@ class TestOperatorRestriction:
         assert not verify(parse_ltl("p & q"), self.sample(), cfg)
 
 
+class TestPrunedOperatorRows:
+    """With every example single-letter, a temporal row goes exactly when
+    its single-letter reduct is its last operand or an allowed connective:
+    X/F/G/U/R always, W only with `|` and M only with `&` allowed."""
+
+    @pytest.mark.parametrize("logic, dropped, binary", [
+        ("ltl", (), (("&", None), ("|", None), ("->", None),
+                     ("<->", None))),
+        ("ltl", ("|",), (("&", None), ("->", None), ("<->", None),
+                         ("W", None))),
+        ("ltl", ("&",), (("|", None), ("->", None), ("<->", None),
+                         ("M", None))),
+        ("ltl", ("|", "&"), (("->", None), ("<->", None), ("W", None),
+                             ("M", None))),
+        ("ctl", (), (("&", None), ("|", None), ("->", None),
+                     ("<->", None))),
+        ("ctl", ("|",), (("&", None), ("->", None), ("<->", None),
+                         ("W", "E"), ("W", "A"))),
+        ("ctl", ("&",), (("|", None), ("->", None), ("<->", None),
+                         ("M", "E"), ("M", "A"))),
+        ("ctl", ("|", "&"), (("->", None), ("<->", None), ("W", "E"),
+                             ("W", "A"), ("M", "E"), ("M", "A"))),
+    ])
+    def test_rows(self, logic, dropped, binary):
+        full = OperatorSet.full()
+        operators = OperatorSet(full.unary, full.binary - set(dropped),
+                                full.quantifiers)
+        assert learner._op_table(logic, operators, True) == (
+            (("!", None),), binary)
+
+
 class TestVerify:
     def sample(self):
         return Sample(["p"], "ltl", [word("| {p}")], [word("| {}")], bound=2)

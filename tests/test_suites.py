@@ -3,13 +3,14 @@
 import pytest
 
 from templearn import suites
-from templearn.formulas import AND, LtlBinary, Prop, size
+from templearn.formulas import AND, WEAK_UNTIL, LtlBinary, Prop, size
 from templearn.suites import (
     SuiteResult, exhaustive_cnfs, random_cnfs, resolve_jobs,
     run_cnf_round_trip, run_ctl_round_trip, run_formula_sweep,
     run_lasso_oracle_equivalence, run_quantifier_transfer,
     run_reduct_identities, single_letters,
 )
+from templearn.transforms import SINGLE_LETTER_REDUCT
 
 
 class TestSuiteResult:
@@ -86,8 +87,10 @@ class TestSmallRuns:
             assert result.checked == 714
 
     def test_formula_sweep_three_props(self):
-        results = run_formula_sweep(max_size=2, props=("p", "q", "r"))
-        assert all(r.passed for r in results.values())
+        results = run_formula_sweep(max_size=4, props=("p", "q", "r"))
+        for result in results.values():
+            assert result.passed
+            assert result.checked == 51_879
 
     def test_quantifier_transfer(self):
         result = run_quantifier_transfer(literal_max_size=2, props=("p",),
@@ -176,3 +179,19 @@ class TestPlantedFaults:
             "(p -> p) M X q vs (p -> p) & X q & p on | {q}",
             "(q U q) M q M q vs q U q & q M q & p on | {q}",
         )
+
+    def test_formula_sweep_reports_each_wrong_image(self, monkeypatch):
+        # `temporal_eliminate` reads the same table, so the cross-check
+        # agrees with the wrong images.  Nothing here may call the learner:
+        # its operator rows are cached across calls.
+        monkeypatch.setitem(SINGLE_LETTER_REDUCT, WEAK_UNTIL, AND)
+        results = run_formula_sweep(max_size=3)
+        elim = results.pop("temporal-elimination")
+        assert (elim.checked, elim.violation_count) == (714, 14)
+        assert elim.violations[:4] == (
+            "image of q W p disagrees on a constant word",
+            "image of p W q disagrees on a constant word",
+            "image of !p W p disagrees on a constant word",
+            "image of p W !p disagrees on a constant word",
+        )
+        assert all(r.passed for r in results.values())

@@ -344,7 +344,7 @@ def _build_domain(sample: Sample):
     of every negative example that has only one.  For lassos, and for
     structures with one initial state each, that is the whole test.
     """
-    examples = sample.positives + sample.negatives
+    examples = sample.examples
     domain = (LtlDomain if sample.logic == LTL else CtlDomain)(examples)
     starts = domain.starts
     # One suffix class per word, or one state per structure.
@@ -380,12 +380,13 @@ _COMMUTING = frozenset((op, None) for op in (AND, OR, IFF))
 
 
 def _run_search(names, domain, rows, pos_mask, screen, is_separating,
-                bound, semantic, winners_at=None):
+                bound, semantic, exhaust=False):
     """One enumeration pass; returns (winning cost, build triples, stats).
 
-    `winners_at=None` stops at the first (hence minimal) layer containing a
-    separating candidate; an integer restricts collection to that exact cost
-    and exhausts the whole space (used for exact-size decisions).
+    By default the pass stops at the first (hence minimal) layer containing
+    a separating candidate; `exhaust=True` collects only the candidates of
+    cost exactly `bound` and exhausts the whole space (used for exact-size
+    decisions).
     """
     unary_rows, binary_rows = rows
     n_unary = len(unary_rows)
@@ -406,13 +407,13 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         n = stop = len(sigs)
         first = dict(zip(reversed(sigs), range(n - 1, -1, -1)))
         distinct.update(first)
-        if winners_at is None or cost == winners_at:
+        if not exhaust or cost == bound:
             won = {sig for sig in first
                    if sig & screen == pos_mask and is_separating(sig)}
             if won:
                 winners[cost] = [t for t, sig in zip(triples, sigs)
                                  if sig in won]
-                if winners_at is None:
+                if not exhaust:
                     stop = min(map(first.__getitem__, won))
         if not semantic:
             return range(stop), sigs
@@ -488,7 +489,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                     found.append((op, left_ids[i], right_ids[i]))
                 elif left_ids[i - k] != right_ids[i - k]:
                     found.append((op, right_ids[i - k], left_ids[i - k]))
-        if found:  # the final layer's cost is the bound (or `winners_at`)
+        if found:  # the final layer's cost is the bound
             winners.setdefault(bound, []).extend(found)
         left_ids.clear()
         right_ids.clear()
@@ -500,7 +501,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     for cost in enum.run():
         if cost == bound:
             flush()
-        if winners_at is None and winners.get(cost):
+        if not exhaust and winners.get(cost):
             break
     flush()  # a search that stopped early still counts its final layer
     best_cost = min(winners) if winners else None
@@ -611,7 +612,7 @@ def learn(sample: Sample, config: LearnConfig | None = None) -> LearnOutcome:
     exact = config.bound_mode == BoundMode.EXACTLY
     cost, triples, enum, stats = _run_search(
         names, domain, rows, pos_mask, screen, is_separating, bound,
-        semantic, winners_at=bound if exact and not semantic else None)
+        semantic, exhaust=exact and not semantic)
     stats["elapsed_seconds"] = time.perf_counter() - started
 
     if cost is None:
@@ -627,7 +628,7 @@ def learn(sample: Sample, config: LearnConfig | None = None) -> LearnOutcome:
             # exact target size (with the unskipped operator table).
             cost, triples, enum, extra = _run_search(
                 names, domain, rows_full, pos_mask, screen, is_separating,
-                bound, False, winners_at=bound)
+                bound, False, exhaust=True)
             stats["candidates_generated"] += extra["candidates_generated"]
             stats["distinct_signatures"] = max(
                 stats["distinct_signatures"], extra["distinct_signatures"])

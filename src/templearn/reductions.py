@@ -208,7 +208,7 @@ def _blocks_of(props, blocks) -> frozenset:
     return frozenset(found)
 
 
-def _polarity(g, block_ids, blocks) -> int:
+def _polarity(g, block_ids) -> int:
     """+1 when g accepts every consistency word of its blocks and rejects
     the empty word; -1 in the reversed pattern; error otherwise.  Each
     word has one class, so bit 0 is the empty word and the rest its blocks'
@@ -246,8 +246,8 @@ def _extract(g, polarity, blocks, out):
         return
     left_ids = _blocks_of({p.name for p in _leaves(g.left)}, blocks)
     right_ids = _blocks_of({p.name for p in _leaves(g.right)}, blocks)
-    pl = _polarity(g.left, left_ids, blocks)
-    pr = _polarity(g.right, right_ids, blocks)
+    pl = _polarity(g.left, left_ids)
+    pr = _polarity(g.right, right_ids)
     allowed = _ALLOWED_CHILD_POLARITIES.get((g.op, polarity), frozenset())
     if (pl, pr) not in allowed:
         raise ExtractionError(
@@ -282,7 +282,7 @@ def extract_disjunction(f: Formula, blocks=None) -> Formula:
         raise ExtractionError(f"expected exactly one proposition per block; "
                               f"violated at block(s) {bad}")
     block_ids = _blocks_of(report.propositions_used, blocks)
-    root_polarity = _polarity(f, block_ids, blocks)
+    root_polarity = _polarity(f, block_ids)
     if root_polarity != 1:
         raise ExtractionError("the formula must accept its consistency "
                               "words and reject the empty word")

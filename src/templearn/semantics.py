@@ -82,8 +82,15 @@ class _Fixpoints:
 
     A domain supplies its pre-image `v_ex(a)`, the vector of the positions
     with a successor in `a`; `EU` and `EG` are then its least and greatest
-    fixpoints, iterated on whole vectors.
+    fixpoints, iterated on whole vectors.  It also keeps `letters`, the
+    letter of each position in bit order, which the vector of every
+    proposition reads.
     """
+
+    def prop_vector(self, name: str) -> int:
+        """The vector of the positions whose letter holds `name`."""
+        return sum(1 << bit for bit, letter in enumerate(self.letters)
+                   if name in letter)
 
     def v_eu(self, a: int, b: int) -> int:
         """E (a U b): the least fixpoint of z = b | (a & EX z)."""
@@ -181,29 +188,28 @@ class _Fixpoints:
 class LtlDomain(_Fixpoints):
     """A fixed tuple of words over which formula vectors are computed.
 
-    Bit `start_bits[w] + c` of a vector is the value at suffix class `c` of
-    word `w`, and `starts[w]` is the mask of its first class.  The domain
-    exposes the per-operator vector transformers so that callers (the
-    checker, the learner) can build vectors bottom-up.
+    Word `w`'s classes take the bits from `starts[w]`, the mask of its
+    first class, upwards: its prefix letters, then its period letters.  The
+    domain exposes the per-operator vector transformers so that callers
+    (the checker, the learner) can build vectors bottom-up.
     """
 
     logic = LTL
 
     def __init__(self, words):
-        self.words = tuple(words)
-        self.start_bits = []
+        self.letters = []
+        self.starts = []
         body = 0  # every class except the last one of each word
         loop_starts: dict = {}  # period length -> loop-start bits
-        offset = 0
-        for w in self.words:
-            self.start_bits.append(offset)
+        for w in words:
+            offset = len(self.letters)
+            self.starts.append(1 << offset)
             body |= ((1 << (w.length - 1)) - 1) << offset
             p = len(w.period)
             loop_starts[p] = loop_starts.get(p, 0) | 1 << (offset + w.loop_start)
-            offset += w.length
-        self.starts = [1 << bit for bit in self.start_bits]
-        self.size = offset
-        self.full = (1 << offset) - 1
+            self.letters += w.prefix + w.period
+        self.size = len(self.letters)
+        self.full = (1 << self.size) - 1
         self._body = body
         # A loop start shifted by its period length - 1 lands on the last
         # class of its word, whose successor it is.
@@ -213,14 +219,6 @@ class LtlDomain(_Fixpoints):
         return {"_body": self._body * rep,
                 "_loops": tuple((mask * rep, shift)
                                 for mask, shift in self._loops)}
-
-    def prop_vector(self, name: str) -> int:
-        v = 0
-        for off, w in zip(self.start_bits, self.words):
-            for c in range(w.length):
-                if name in w.letter_at(c):
-                    v |= 1 << (off + c)
-        return v
 
     def v_ex(self, a: int) -> int:
         """X a: a lasso is a Kripke structure with one successor per class.
@@ -241,13 +239,13 @@ class CtlDomain(_Fixpoints):
     logic = CTL
 
     def __init__(self, structures):
-        self.structures = tuple(structures)
+        self.letters = []  # the state labels
         self.starts = []
         # Per structure: its offset, the mask of its states, and the
         # predecessor mask of each state with a predecessor, both local.
         self._blocks = []
-        offset = 0
-        for m in self.structures:
+        for m in structures:
+            offset = len(self.letters)
             index = {s: i for i, s in enumerate(m.states)}
             preds = [0] * len(m.states)
             for a, b in m.edges:
@@ -258,25 +256,15 @@ class CtlDomain(_Fixpoints):
             for s in m.initial:
                 init |= 1 << (offset + index[s])
             self.starts.append(init)
-            offset += len(m.states)
-        self.size = offset
-        self.full = (1 << offset) - 1
+            self.letters += m.labels
+        self.size = len(self.letters)
+        self.full = (1 << self.size) - 1
         self._rep = 1  # one lane
 
     def _replicated(self, rep: int) -> dict:
         return {"_rep": rep,
                 "_blocks": [(offset, mask * rep, preds)
                             for offset, mask, preds in self._blocks]}
-
-    def prop_vector(self, name: str) -> int:
-        v = 0
-        bit = 0
-        for m in self.structures:
-            for letter in m.labels:
-                if name in letter:
-                    v |= 1 << bit
-                bit += 1
-        return v
 
     def v_ex(self, s: int) -> int:
         """EX s: the union of the predecessor masks of the states in `s`.
@@ -338,18 +326,15 @@ def check_separating(f: Formula, sample: Sample) -> bool:
     then read off at its start mask: its first class or its initial states.
     """
     ltl = sample.logic == LTL
-    if ltl and not is_ltl(f):
-        raise ValueError("a branching-time formula cannot be checked "
-                         "against a linear-time sample")
-    if not ltl and not is_ctl(f):
-        raise ValueError("a linear-time formula cannot be checked "
-                         "against a branching-time sample")
+    if not (is_ltl if ltl else is_ctl)(f):
+        raise ValueError(f"a {LOGIC_NAMES[CTL if ltl else LTL]} formula "
+                         f"cannot be checked against a "
+                         f"{LOGIC_NAMES[sample.logic]} sample")
     extra = prop_names(f) - sample.alphabet
     if extra:
         raise ValueError(f"formula uses {sorted(extra)[0]!r} outside the "
                          f"sample alphabet")
-    domain = (LtlDomain if ltl else CtlDomain)(sample.positives
-                                                + sample.negatives)
+    domain = (LtlDomain if ltl else CtlDomain)(sample.examples)
     v = domain.evaluate(f)
     starts = domain.starts
     n_pos = len(sample.positives)

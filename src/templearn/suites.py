@@ -234,7 +234,8 @@ class _TemporalFreeUniverse:
     """Interning table for temporal-free formulas over fixed propositions.
 
     Every node carries its signature over the constant words, the id set of
-    its sub-formulas, and a build record for reconstructing the AST.
+    its sub-formulas, and a build record for reconstructing the AST.  The
+    propositions are interned first, in order: node `i` is `props[i]`.
     """
 
     def __init__(self, domain, props):
@@ -243,11 +244,8 @@ class _TemporalFreeUniverse:
         self.closures = []
         self.builds = []  # (None, name, -1) | (op, a, -1) | (op, a, b)
         self._index = {}
-        self.prop_ids = {}
         for name in props:
-            nid = self._add((None, name, -1), domain.prop_vector(name),
-                            frozenset())
-            self.prop_ids[name] = nid
+            self._add((None, name, -1), domain.prop_vector(name), frozenset())
 
     def _add(self, build, sig, child_closure):
         nid = len(self.sigs)
@@ -306,11 +304,8 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
       two letters differing only inside Y mentions a proposition of Y.
     """
     start = time.time()
-    words = constant_words(props)
-    dom = LtlDomain(words)
+    dom = LtlDomain(constant_words(props))
     nprops = len(props)
-    letters = single_letters(props)
-    full = (1 << len(words)) - 1
 
     table = _op_table(LTL, OperatorSet.full(), False)
     unary_rows, binary_rows = table
@@ -340,15 +335,13 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     concise_bad = _Violations()
     disting = _Violations()
 
-    # Letter pairs differing only inside {props[i]} for distinguishability.
-    flip_pairs = []
-    for i in range(nprops):
-        pairs = [(a, a | 1 << i) for a in range(len(letters))
-                 if not a >> i & 1]
-        flip_pairs.append(pairs)
-
-    ys = _y_subsets(nprops)
-    checked = [0]
+    # Bit `a` of a signature is letter `a`, and adding `props[k]` to a
+    # letter moves it `2**k` bits up; `without[k]` masks the letters
+    # without `props[k]`.
+    without = [sum(1 << a for a in range(1 << nprops) if not a >> k & 1)
+               for k in range(nprops)]
+    # Nonempty proposition subsets as (bitmask, cardinality) pairs.
+    ys = [(ymask, ymask.bit_count()) for ymask in range(1, 1 << nprops)]
 
     def describe(opcode, left, right):
         triple = (opcode, left, right)
@@ -356,11 +349,10 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
             triple, lambda i: Prop(props[i]), op_builders))
 
     def check(cost, opcode, left, right, sig):
-        checked[0] += 1
         if opcode < 0:
             mask = 1 << left
             is_concise, is_temporal = True, False
-            trid = tf.prop_ids[props[left]]
+            trid = left  # the universe's node of props[left]
             trimage = tf_closures[trid]
             closure_ids = ()
         elif right < 0:
@@ -421,14 +413,11 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
         # own propositions.
         if not is_temporal:
             for k in range(nprops):
-                if mask >> k & 1:
-                    continue
-                for a, b in flip_pairs[k]:
-                    if (sig >> a & 1) != (sig >> b & 1):
-                        disting.add(
-                            f"{describe(opcode, left, right)} distinguishes "
-                            f"letters differing only in {props[k]}")
-                        break
+                if (not mask >> k & 1
+                        and (sig ^ sig >> (1 << k)) & without[k]):
+                    disting.add(
+                        f"{describe(opcode, left, right)} distinguishes "
+                        f"letters differing only in {props[k]}")
 
         return (mask, is_concise, is_temporal, trid, trimage), closure_ids
 
@@ -482,12 +471,12 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                             f"{print_formula(ast)}")
 
     elapsed = time.time() - start
-    details = {"formulas": checked[0], "registered": len(enum.closures),
+    details = {"formulas": enum.generated, "registered": len(enum.closures),
                "cross_checked": cross_checked, "max_size": max_size,
                "image_nodes": len(tf_sigs)}
 
     def result(name, bag):
-        return SuiteResult(name=name, checked=checked[0],
+        return SuiteResult(name=name, checked=enum.generated,
                            violation_count=bag.count,
                            violations=tuple(bag.kept),
                            elapsed_seconds=elapsed, details=details)
@@ -499,14 +488,6 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
                                          concise_bad),
         "distinguishability": result("distinguishability", disting),
     }
-
-
-def _y_subsets(nprops: int):
-    """Nonempty proposition subsets as (bitmask, cardinality) pairs."""
-    out = []
-    for ymask in range(1, 1 << nprops):
-        out.append((ymask, bin(ymask).count("1")))
-    return out
 
 
 # ---------------------------------------------------------------------------

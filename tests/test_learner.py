@@ -627,7 +627,7 @@ class TestMirroredWinners:
         rows = learner._op_table("ltl", OperatorSet.full(), False)
         _, triples, _, _ = learner._run_search(
             ["p", "q"], domain, rows, pos_mask, screen, is_separating, 3,
-            False, winners_at=3)
+            False, exhaust=True)
         assert any(a == b for _, a, b in triples)
         assert len(set(triples)) == len(triples)
 

@@ -169,7 +169,8 @@ class TestMultiWordDomain:
             for _ in range(5):
                 f = random_ltl(rng, ["p", "q"], 4)
                 v = domain.evaluate(f)
-                for k, (off, w) in enumerate(zip(domain.start_bits, words)):
+                for k, (start, w) in enumerate(zip(domain.starts, words)):
+                    off = start.bit_length() - 1
                     expected = satisfaction_vector(f, w)
                     got = tuple(bool(v >> (off + i) & 1)
                                 for i in range(w.length))

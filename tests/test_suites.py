@@ -3,7 +3,10 @@
 import pytest
 
 from templearn import suites
-from templearn.formulas import AND, WEAK_UNTIL, LtlBinary, Prop, size
+from templearn.formulas import (
+    AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
+)
+from templearn.semantics import LtlDomain
 from templearn.suites import (
     SuiteResult, exhaustive_cnfs, random_cnfs, resolve_jobs,
     run_cnf_round_trip, run_ctl_round_trip, run_formula_sweep,
@@ -91,6 +94,9 @@ class TestSmallRuns:
         for result in results.values():
             assert result.passed
             assert result.checked == 51_879
+            assert result.details == {
+                "formulas": 51_879, "registered": 1_095,
+                "cross_checked": 1_095, "max_size": 4, "image_nodes": 5_316}
 
     def test_quantifier_transfer(self):
         result = run_quantifier_transfer(literal_max_size=2, props=("p",),
@@ -193,5 +199,46 @@ class TestPlantedFaults:
             "image of p W q disagrees on a constant word",
             "image of !p W p disagrees on a constant word",
             "image of p W !p disagrees on a constant word",
+        )
+        assert all(r.passed for r in results.values())
+
+    def test_formula_sweep_reports_each_distinguishing_formula(self,
+                                                               monkeypatch):
+        # `p` also holds on the constant word of letter {q} (bit 2), so
+        # every formula whose signature follows `p` tells {} from {q}.
+        prop_vector = LtlDomain.prop_vector
+        monkeypatch.setattr(
+            LtlDomain, "prop_vector",
+            lambda self, name: prop_vector(self, name) | (name == "p") << 2)
+        results = run_formula_sweep(max_size=3)
+        disting = results.pop("distinguishability")
+        assert (disting.checked, disting.violation_count) == (714, 33)
+        assert disting.violations[:3] == (
+            "p distinguishes letters differing only in q",
+            "!p distinguishes letters differing only in q",
+            "p & p distinguishes letters differing only in q",
+        )
+        assert all(r.passed for r in results.values())
+
+    def test_formula_sweep_reports_each_image_outside_its_bounds(
+            self, monkeypatch):
+        # Every `&` image takes the negation of its right operand: it grows
+        # by one node that is no image of a sub-formula, and flips meaning.
+        node = suites._TemporalFreeUniverse.node
+
+        def wrong(self, op, a, b=-1):
+            if op == AND:
+                b = node(self, NOT, b)
+            return node(self, op, a, b)
+
+        monkeypatch.setattr(suites._TemporalFreeUniverse, "node", wrong)
+        results = run_formula_sweep(max_size=3)
+        elim = results.pop("temporal-elimination")
+        assert (elim.checked, elim.violation_count) == (714, 568)
+        assert elim.violations[:3] == (
+            "image of q & p is larger than the formula",
+            "image of q & p has a sub-formula outside the image of its "
+            "sub-formulas",
+            "image of q & p disagrees on a constant word",
         )
         assert all(r.passed for r in results.values())

@@ -25,7 +25,9 @@ from .formulas import (
     FormulaSyntaxError, OperatorSet, parse_ctl, parse_ltl, print_formula,
     size,
 )
-from .learner import BoundMode, DedupMode, LearnConfig, learn, verify
+from .learner import (
+    BoundMode, DedupMode, LearnConfig, _resolve_bound, learn, verify,
+)
 from .models import (
     CTL, LTL, Sample, load_sample, save_sample, word_to_text,
 )
@@ -182,8 +184,8 @@ def _cmd_learn(args) -> int:
     sample = _load_sample(args.sample)
     try:
         config = _learn_config(args)
-        bound = config.bound if config.bound is not None else sample.bound
-        if bound is not None and bound > config.bound_limit:
+        bound = _resolve_bound(sample, config)
+        if bound > config.bound_limit:
             raise ValueError(
                 f"bound {bound} exceeds the command line's cap of "
                 f"{config.bound_limit}; the search is exponential in the "

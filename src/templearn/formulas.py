@@ -347,8 +347,18 @@ def conforms(f: Formula, operators: OperatorSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and printing
 # ---------------------------------------------------------------------------
+
+# Binding strength, the one table that both the parser and the printer read:
+# a binary operator's level, loosest 1, and the right-associative operators.
+_ATOM_LEVEL = 7
+_UNARY_LEVEL = 6
+_BINARY_LEVEL = {
+    IFF: 1, IMPLIES: 2, OR: 3, AND: 4,
+    UNTIL: 5, RELEASE: 5, WEAK_UNTIL: 5, STRONG_RELEASE: 5,
+}
+_RIGHT_ASSOC = frozenset((IFF, IMPLIES, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
 
 _TOKEN_RE = re.compile(r"->|<->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*")
 
@@ -371,15 +381,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Shared recursive-descent machinery for both logics.
+    """Precedence climbing over `_BINARY_LEVEL` for both logics.
 
-    Binding strength, loosest first: <-> , -> , | , & , (U R W M) , prefix
-    operators.  `->`, `<->` and the binary temporal operators associate to
-    the right, `&` and `|` to the left.
+    A subclass names its `logic` and its `top_level`, the tightest level of
+    a binary connective; above it `unary` reads the prefix operators and
+    atoms.
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -406,51 +415,31 @@ class _Parser:
         raise FormulaSyntaxError(message, self.pos())
 
     def parse(self):
-        f = self.iff()
-        if self.peek():
-            self.fail(f"unexpected token {self.peek()!r}")
+        f = self.binary()
+        tok = self.peek()
+        if tok:
+            if tok in TEMPORAL_BINARY_OPS:
+                self.fail(f"temporal operator {tok!r} requires a path "
+                          f"quantifier")
+            self.fail(f"unexpected token {tok!r}")
         return f
 
-    def iff(self):
-        left = self.implies()
-        if self.peek() == IFF:
-            self.advance()
-            return self.make_binary(IFF, left, self.iff())
-        return left
-
-    def implies(self):
-        left = self.disjunction()
-        if self.peek() == IMPLIES:
-            self.advance()
-            return self.make_binary(IMPLIES, left, self.implies())
-        return left
-
-    def disjunction(self):
-        f = self.conjunction()
-        while self.peek() == OR:
-            self.advance()
-            f = self.make_binary(OR, f, self.conjunction())
-        return f
-
-    def conjunction(self):
-        f = self.until()
-        while self.peek() == AND:
-            self.advance()
-            f = self.make_binary(AND, f, self.until())
-        return f
-
-    def until(self):
-        left = self.unary()
-        if self.peek() in TEMPORAL_BINARY_OPS:
+    def binary(self, level: int = 1):
+        """The operators of `level` and tighter between unary operands."""
+        if level > self.top_level:
+            return self.unary()
+        f = self.binary(level + 1)
+        while _BINARY_LEVEL.get(self.peek()) == level:
             op = self.advance()
-            return self.make_temporal_binary(op, left, self.until())
-        return left
+            right = self.binary(level if op in _RIGHT_ASSOC else level + 1)
+            f = node_builder(self.logic, op)(f, right)
+        return f
 
     def atom(self):
         tok = self.peek()
         if tok == "(":
             self.advance()
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             return f
         if tok == "":
@@ -460,18 +449,11 @@ class _Parser:
         self.advance()
         return Prop(tok)
 
-    # Hooks specialised per logic.
-    def unary(self):
-        raise NotImplementedError
-
-    def make_binary(self, op, left, right):
-        raise NotImplementedError
-
-    def make_temporal_binary(self, op, left, right):
-        raise NotImplementedError
-
 
 class _LtlParser(_Parser):
+    logic = LTL
+    top_level = max(_BINARY_LEVEL.values())
+
     def unary(self):
         tok = self.peek()
         if tok in UNARY_OPS:
@@ -481,27 +463,12 @@ class _LtlParser(_Parser):
             self.fail(f"path quantifier {tok!r} is not part of this logic")
         return self.atom()
 
-    def make_binary(self, op, left, right):
-        return LtlBinary(op, left, right)
-
-    make_temporal_binary = make_binary
-
 
 class _CtlParser(_Parser):
-    def parse(self):
-        f = self.iff()
-        if self.peek():
-            if self.peek() in TEMPORAL_BINARY_OPS:
-                self.fail(f"temporal operator {self.peek()!r} requires a "
-                          f"path quantifier")
-            self.fail(f"unexpected token {self.peek()!r}")
-        return f
-
-    def until(self):
-        # Binary temporal operators are not connectives here; they appear
-        # only as the separator inside a quantified group, consumed by
-        # `quantified`.
-        return self.unary()
+    # Binary temporal operators are not connectives here; they appear only
+    # as the separator inside a quantified group, read by `quantified`.
+    logic = CTL
+    top_level = max(_BINARY_LEVEL[op] for op in LOGICAL_BINARY_OPS)
 
     def unary(self):
         tok = self.peek()
@@ -522,21 +489,15 @@ class _CtlParser(_Parser):
             return CtlQuantUnary(quantifier, tok, self.unary())
         if tok == "(":
             self.advance()
-            left = self.iff()
+            left = self.binary()
             op = self.peek()
             if op not in TEMPORAL_BINARY_OPS:
                 self.fail("expected a binary temporal operator")
             self.advance()
-            right = self.iff()
+            right = self.binary()
             self.expect(")")
             return CtlQuantBinary(quantifier, op, left, right)
         self.fail(f"expected a temporal operator after {quantifier!r}")
-
-    def make_binary(self, op, left, right):
-        return CtlBinary(op, left, right)
-
-    def make_temporal_binary(self, op, left, right):
-        self.fail(f"temporal operator {op!r} requires a path quantifier")
 
 
 def parse_ltl(text: str) -> LtlFormula:
@@ -547,19 +508,6 @@ def parse_ltl(text: str) -> LtlFormula:
 def parse_ctl(text: str) -> CtlFormula:
     """Parse the branching-time formula in `text`."""
     return _CtlParser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_ATOM_LEVEL = 7
-_UNARY_LEVEL = 6
-_BINARY_LEVEL = {
-    IFF: 1, IMPLIES: 2, OR: 3, AND: 4,
-    UNTIL: 5, RELEASE: 5, WEAK_UNTIL: 5, STRONG_RELEASE: 5,
-}
-_RIGHT_ASSOC = frozenset((IFF, IMPLIES, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
 
 
 def _fmt(f: Formula) -> tuple:

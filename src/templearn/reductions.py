@@ -8,7 +8,8 @@ x_k_bar}`), the empty-letter word as the only negative, and size bound
 literals (`formula_from_valuation`); conversely `extract_valuation` turns an
 arbitrary separating formula within the bound back into a satisfying
 assignment by eliminating temporal operators, checking conciseness, and
-recursively extracting one literal per block (`extract_disjunction`).
+reading one literal per block off the polarities of its sub-formulas, all
+classified on one domain (as `extract_disjunction` does).
 
 `reduce_ltl_to_ctl` transfers a single-letter-word LTL sample to the
 branching-time problem by embedding each word as a one-state structure.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .formulas import (
     AND, IFF, IMPLIES, OR,
-    Formula, LtlBinary, Prop, size,
+    Formula, LtlBinary, Prop, prop_names, size,
 )
 from .models import LTL, Sample, Word, embed_word
 from .semantics import LtlDomain, check_separating
@@ -195,37 +196,6 @@ def reduce_ltl_to_ctl(sample: Sample) -> Sample:
                   bound=sample.bound)
 
 
-def _blocks_of(props, blocks) -> frozenset:
-    found = set()
-    for name in props:
-        for k, members in blocks.items():
-            if name in members:
-                found.add(k)
-                break
-        else:
-            raise ExtractionError(f"proposition {name!r} belongs to no "
-                                  f"block")
-    return frozenset(found)
-
-
-def _polarity(g, block_ids) -> int:
-    """+1 when g accepts every consistency word of its blocks and rejects
-    the empty word; -1 in the reversed pattern; error otherwise.  Each
-    word has one class, so bit 0 is the empty word and the rest its blocks'
-    words."""
-    domain = LtlDomain([_EMPTY_WORD]
-                       + [_block_words(k) for k in sorted(block_ids)])
-    v = domain.evaluate(g)
-    if v == domain.full ^ 1:
-        return 1
-    if v == 1:
-        return -1
-    raise ExtractionError(
-        f"sub-formula {g} fits neither polarity: it must either accept all "
-        f"of its consistency words and reject the empty word, or the "
-        f"reverse")
-
-
 _ALLOWED_CHILD_POLARITIES = {
     (OR, 1): {(1, 1)},
     (AND, -1): {(-1, -1)},
@@ -235,34 +205,65 @@ _ALLOWED_CHILD_POLARITIES = {
 }
 
 
-def _extract(g, polarity, blocks, out):
-    if type(g) is Prop:
-        if polarity != 1:
-            raise ExtractionError(
-                f"proposition {g} reached with negative polarity; this "
-                f"cannot happen for a separating concise formula")
-        k = next(iter(_blocks_of((g.name,), blocks)))
-        out[k] = g
-        return
-    left_ids = _blocks_of({p.name for p in _leaves(g.left)}, blocks)
-    right_ids = _blocks_of({p.name for p in _leaves(g.right)}, blocks)
-    pl = _polarity(g.left, left_ids)
-    pr = _polarity(g.right, right_ids)
-    allowed = _ALLOWED_CHILD_POLARITIES.get((g.op, polarity), frozenset())
-    if (pl, pr) not in allowed:
+def _literals(f, used, blocks) -> dict:
+    """The literal of each block in `f`, which uses the propositions `used`,
+    read top-down through the polarity of every sub-formula.
+
+    One domain classifies every sub-formula: bit 0 is the empty word and
+    the rest the consistency words of the used blocks.  A sub-formula has
+    polarity +1 when it accepts the words of its own blocks and rejects the
+    empty word, -1 in the reversed pattern, and none otherwise.
+    """
+    block_of: dict = {}
+    for k, members in blocks.items():
+        for name in members:
+            block_of.setdefault(name, k)
+    for name in used:
+        if name not in block_of:
+            raise ExtractionError(f"proposition {name!r} belongs to no "
+                                  f"block")
+    ids = sorted({block_of[name] for name in used})
+    domain = LtlDomain([_EMPTY_WORD] + [_block_words(k) for k in ids])
+    bit = {k: 2 << i for i, k in enumerate(ids)}
+
+    def polarity(g) -> int:
+        mask = 1
+        for name in prop_names(g):
+            mask |= bit[block_of[name]]
+        v = domain.evaluate(g) & mask
+        if v == mask ^ 1:
+            return 1
+        if v == 1:
+            return -1
         raise ExtractionError(
-            f"operator {g.op!r} with polarity {polarity:+d} admits child "
-            f"polarities {sorted(allowed)}, but found ({pl:+d}, {pr:+d})")
-    _extract(g.left, pl, blocks, out)
-    _extract(g.right, pr, blocks, out)
+            f"sub-formula {g} fits neither polarity: it must either accept "
+            f"all of its consistency words and reject the empty word, or "
+            f"the reverse")
 
+    out: dict = {}
 
-def _leaves(g):
-    if type(g) is Prop:
-        yield g
-        return
-    yield from _leaves(g.left)
-    yield from _leaves(g.right)
+    def walk(g, pol):
+        if type(g) is Prop:
+            if pol != 1:
+                raise ExtractionError(
+                    f"proposition {g} reached with negative polarity; this "
+                    f"cannot happen for a separating concise formula")
+            out[block_of[g.name]] = g
+            return
+        pl, pr = polarity(g.left), polarity(g.right)
+        allowed = _ALLOWED_CHILD_POLARITIES.get((g.op, pol), frozenset())
+        if (pl, pr) not in allowed:
+            raise ExtractionError(
+                f"operator {g.op!r} with polarity {pol:+d} admits child "
+                f"polarities {sorted(allowed)}, but found ({pl:+d}, {pr:+d})")
+        walk(g.left, pl)
+        walk(g.right, pr)
+
+    if polarity(f) != 1:
+        raise ExtractionError("the formula must accept its consistency "
+                              "words and reject the empty word")
+    walk(f, 1)
+    return out
 
 
 def extract_disjunction(f: Formula, blocks=None) -> Formula:
@@ -281,13 +282,7 @@ def extract_disjunction(f: Formula, blocks=None) -> Formula:
     if bad:
         raise ExtractionError(f"expected exactly one proposition per block; "
                               f"violated at block(s) {bad}")
-    block_ids = _blocks_of(report.propositions_used, blocks)
-    root_polarity = _polarity(f, block_ids)
-    if root_polarity != 1:
-        raise ExtractionError("the formula must accept its consistency "
-                              "words and reject the empty word")
-    out: dict = {}
-    _extract(f, 1, blocks, out)
+    out = _literals(f, report.propositions_used, blocks)
     result = None
     for k in sorted(out):
         result = out[k] if result is None else LtlBinary(OR, result, out[k])
@@ -318,11 +313,8 @@ def extract_valuation(f: Formula, cnf: CnfInstance) -> dict:
                      g, f)
         raise RuntimeError("internal error: the temporal-free image is not "
                            "concise with one proposition per block")
-    disjunction = extract_disjunction(g, blocks)
-    valuation = {}
-    for leaf in _leaves(disjunction):
-        k = next(iter(_blocks_of((leaf.name,), blocks)))
-        valuation[k] = leaf.name == f"x{k}"
+    literals = _literals(g, report.propositions_used, blocks)
+    valuation = {k: literals[k].name == f"x{k}" for k in sorted(literals)}
     if set(valuation) != set(blocks) or not satisfies(cnf, valuation):
         logger.error("extracted assignment %s from %s does not satisfy the "
                      "CNF", valuation, f)

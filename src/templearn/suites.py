@@ -494,9 +494,13 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
 # Quantified/quantifier-free agreement on single-state structures
 # ---------------------------------------------------------------------------
 
+# The size cap of the randomly drawn formulas beyond the exhaustive ones.
+_TRANSFER_SAMPLE_MAX_SIZE = 5
+
+
 def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
-                            sample_count: int = 2000, seed: int = 0,
-                            sample_max_size: int = 5) -> SuiteResult:
+                            sample_count: int = 2000,
+                            seed: int = 0) -> SuiteResult:
     """On a single-state structure, path quantifiers are inert.
 
     Checks that `f` holds on M exactly when `strip_quantifiers(f)` holds
@@ -532,8 +536,8 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
 
     rng = random.Random(seed)
     for _ in range(sample_count):
-        check(_random_formula(rng, props, sample_max_size, _ctl_unary,
-                              _ctl_binary))
+        check(_random_formula(rng, props, _TRANSFER_SAMPLE_MAX_SIZE,
+                              _ctl_unary, _ctl_binary))
 
     # Operator tables over all signature combinations: every quantified
     # operator agrees with its quantifier-free counterpart, and the shared
@@ -775,9 +779,13 @@ def _random_word(rng, props, max_length: int):
                 [rng.choice(letters) for _ in range(period)])
 
 
+# The size caps of the random formula and word of each lasso-oracle pair.
+_LASSO_FORMULA_MAX_SIZE = 5
+_LASSO_WORD_MAX_LENGTH = 4
+
+
 def run_lasso_oracle_equivalence(pairs: int = 10000, seed: int = 0,
-                                 props=("p", "q"), max_formula_size: int = 5,
-                                 max_word_length: int = 4) -> SuiteResult:
+                                 props=("p", "q")) -> SuiteResult:
     """The bit-vector checker agrees with the bounded-window naive
     evaluator on random formula/word pairs, at every position."""
     start = time.time()
@@ -785,9 +793,9 @@ def run_lasso_oracle_equivalence(pairs: int = 10000, seed: int = 0,
     bad = _Violations()
     positions = 0
     for _ in range(pairs):
-        f = _random_formula(rng, props, max_formula_size, _ltl_unary,
+        f = _random_formula(rng, props, _LASSO_FORMULA_MAX_SIZE, _ltl_unary,
                             _ltl_binary)
-        w = _random_word(rng, props, max_word_length)
+        w = _random_word(rng, props, _LASSO_WORD_MAX_LENGTH)
         vector = satisfaction_vector(f, w)
         for i in range(w.length):
             positions += 1

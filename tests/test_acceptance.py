@@ -158,9 +158,7 @@ def test_criterion_6_ctl_transfer(cnf_batch, cnf_round_trip):
 
 def test_criterion_7_lasso_oracle():
     result = run_lasso_oracle_equivalence(pairs=10_000, seed=SEED,
-                                          props=("p", "q"),
-                                          max_formula_size=5,
-                                          max_word_length=4)
+                                          props=("p", "q"))
     assert result.checked == 10_000
     assert result.details["positions_checked"] >= 10_000
     assert result.violations == ()

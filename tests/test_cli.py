@@ -198,6 +198,14 @@ class TestLearn:
                        "only the library can raise the cap "
                        "(LearnConfig.bound_limit)\n")
 
+    def test_sample_without_bound(self, capsys, tmp_path):
+        path = tmp_path / "unbounded.sample"
+        path.write_text("alphabet: p\nlogic: ltl\npos: | {p}\nneg: | {}\n")
+        code, out, err = run(capsys, "learn", "--sample", str(path))
+        assert code == EXIT_ERROR and not out
+        assert err == ("error: no size bound: set LearnConfig.bound or the "
+                       "sample's bound\n")
+
     def test_bad_operator_name(self, capsys, sample_file):
         code, _, err = run(capsys, "learn", "--sample", sample_file,
                            "--ops", "XOR")

@@ -4,7 +4,8 @@ import pytest
 
 from templearn import (
     FormulaSyntaxError, OperatorSet, Sample, Word, analyze_conciseness,
-    check_separating, conforms, embed_word, insert_quantifiers, parse_ctl,
+    check_separating, conforms, embed_word, enumerate_formulas,
+    insert_quantifiers, parse_ctl,
     parse_ltl, print_formula, prop_names, size, strip_quantifiers,
     subformulas, temporal_eliminate, verify,
 )
@@ -95,6 +96,37 @@ class TestCtlParsing:
             parse_ctl("F p")
 
 
+class TestSyntaxErrors:
+    @pytest.mark.parametrize("parse,text,message,position", [
+        (parse_ltl, "", "unexpected end of input", 0),
+        (parse_ltl, "p |", "unexpected end of input", 3),
+        (parse_ltl, "p | | q", "unexpected token '|'", 4),
+        (parse_ltl, "p q", "unexpected token 'q'", 2),
+        (parse_ltl, "(p | q", "expected ')' but found 'end of input'", 6),
+        (parse_ltl, "E F p", "path quantifier 'E' is not part of this logic",
+         0),
+        (parse_ltl, "U", "unexpected token 'U'", 0),
+        (parse_ltl, "p $", "unexpected character '$'", 2),
+        (parse_ltl, "p U q R", "unexpected end of input", 7),
+        (parse_ctl, "p U q",
+         "temporal operator 'U' requires a path quantifier", 2),
+        (parse_ctl, "F p", "temporal operator 'F' requires a path quantifier",
+         0),
+        (parse_ctl, "E p", "expected a temporal operator after 'E'", 2),
+        (parse_ctl, "E (p & q)", "expected a binary temporal operator", 8),
+        (parse_ctl, "A (p U q", "expected ')' but found 'end of input'", 8),
+        (parse_ctl, "p & U q",
+         "temporal operator 'U' requires a path quantifier", 4),
+        (parse_ctl, "E (p U q) W r",
+         "temporal operator 'W' requires a path quantifier", 10),
+    ])
+    def test_message_and_offset(self, parse, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at offset {position})"
+        assert info.value.position == position
+
+
 class TestPrinting:
     ROUND_TRIPS = [
         "p", "!p", "p & q", "p | q & r", "(p | q) & r", "p U q U r",
@@ -116,6 +148,15 @@ class TestPrinting:
     def test_ctl_round_trip(self, text):
         f = parse_ctl(text)
         assert parse_ctl(print_formula(f)) == f
+
+    # Size 3 over one proposition nests every pair of binary operators
+    # both ways, so this covers each pair of binding strengths.
+    @pytest.mark.parametrize("props", [("p",), ("p", "q")])
+    @pytest.mark.parametrize("logic,parse", [("ltl", parse_ltl),
+                                             ("ctl", parse_ctl)])
+    def test_every_small_formula_round_trips(self, props, logic, parse):
+        for f in enumerate_formulas(props, 3, logic=logic):
+            assert parse(print_formula(f)) == f
 
     def test_minimal_parentheses(self):
         assert print_formula(parse_ltl("(p & q) | r")) == "p & q | r"

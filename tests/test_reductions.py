@@ -202,6 +202,16 @@ class TestExtractDisjunction:
         f = parse_ltl("(x1 <-> x2) -> x3")
         assert extract_disjunction(f) == parse_ltl("x1 | x2 | x3")
 
+    def test_blocks_in_any_order(self):
+        blocks = {k: frozenset((f"x{k}", f"x{k}_bar")) for k in (3, 1, 2)}
+        f = parse_ltl("(x2_bar <-> x3) -> x1")
+        assert extract_disjunction(f, blocks) == parse_ltl("x1 | x2_bar | x3")
+
+    def test_negative_child_two_levels_down(self):
+        f = parse_ltl("x3_bar | ((x1 <-> x2_bar) -> x4)")
+        assert extract_disjunction(f) == parse_ltl(
+            "x1 | x2_bar | x3_bar | x4")
+
     def test_temporal_operand_is_rejected(self):
         with pytest.raises(ExtractionError, match="temporal-free"):
             extract_disjunction(parse_ltl("F x1"))

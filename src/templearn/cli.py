@@ -305,6 +305,9 @@ def _cmd_extract(args) -> int:
 def _cmd_verify_properties(args) -> int:
     if args.props < 1 or args.props > 3:
         raise _CliError("--props must be between 1 and 3")
+    for name in ("max_size", "cnf_variables"):
+        if getattr(args, name) < 1:
+            raise _CliError(f"--{name.replace('_', '-')} must be at least 1")
     props = ("p", "q", "r")[:args.props]
     results = []
 
@@ -320,14 +323,12 @@ def _cmd_verify_properties(args) -> int:
         max_size=args.max_size, props=props)
     run("quantifier-transfer", suites.run_quantifier_transfer,
         literal_max_size=min(4, args.max_size), props=props, seed=args.seed)
-    if not args.suite or "cnf" in args.suite:
-        instances = (suites.exhaustive_cnfs(args.cnf_variables,
-                                            args.cnf_clauses)
-                     + suites.random_cnfs(args.cnf_random, seed=args.seed))
-        ltl_result = suites.run_cnf_round_trip(instances, jobs=args.jobs)
-        results.append(ltl_result)
-        results.append(suites.run_ctl_round_trip(
-            instances, ltl_result.details["decisions"], jobs=args.jobs))
+    # The instances are built only when the suite runs: the exhaustive
+    # ones are combinatorial in --cnf-variables and --cnf-clauses.
+    run("cnf", lambda: suites.run_cnf_round_trip(
+        suites.exhaustive_cnfs(args.cnf_variables, args.cnf_clauses)
+        + suites.random_cnfs(args.cnf_random, seed=args.seed),
+        jobs=args.jobs))
     run("lasso", suites.run_lasso_oracle_equivalence,
         pairs=args.pairs, seed=args.seed, props=props[:2] or ("p",))
 

@@ -26,9 +26,10 @@ the oracles behind ``templearn verify-properties`` and the acceptance tests:
   size cap plus an operator-table closure that extends the fact to all
   sizes.
 
-* :func:`run_cnf_round_trip` / :func:`run_ctl_round_trip` — satisfiability
-  of a CNF agrees with learnability of its sample encoding, and every
-  learned witness yields a satisfying assignment.
+* :func:`run_cnf_round_trip` — one pass takes each CNF through both logics:
+  satisfiability agrees with learnability of its word-sample encoding,
+  every learned witness yields a satisfying assignment, and learning on
+  the one-state structures of the same sample decides as the words do.
 
 * :func:`run_lasso_oracle_equivalence` — the bit-vector word checker
   (shift-based X, shared EU/EG fixpoints) agrees with the bounded-window
@@ -103,6 +104,15 @@ class _Violations:
         self.count += 1
         if len(self.kept) < _MAX_REPORTED:
             self.kept.append(message)
+
+
+def _result(name: str, bag: _Violations, checked: int, start: float,
+            details: dict) -> SuiteResult:
+    """The suite `name`'s result: `checked` items, the violations in `bag`,
+    and the seconds since `start`."""
+    return SuiteResult(name=name, checked=checked, violation_count=bag.count,
+                       violations=tuple(bag.kept),
+                       elapsed_seconds=time.time() - start, details=details)
 
 
 def single_letters(props=("p", "q")) -> tuple:
@@ -214,16 +224,11 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
             if strong_release(a, b) != (a & b):
                 bad.add(f"M reduct fails at signatures {a},{b}")
 
-    return SuiteResult(
-        name="single-letter-reducts",
-        checked=checked + pair_checked + sample_count,
-        violation_count=bad.count,
-        violations=tuple(bad.kept),
-        elapsed_seconds=time.time() - start,
-        details={"operands": checked, "operand_pairs": pair_checked,
-                 "sampled_compounds": sample_count,
-                 "signature_combinations": table_checked ** 2},
-    )
+    return _result("single-letter-reducts", bad,
+                   checked + pair_checked + sample_count, start,
+                   {"operands": checked, "operand_pairs": pair_checked,
+                    "sampled_compounds": sample_count,
+                    "signature_combinations": table_checked ** 2})
 
 
 # ---------------------------------------------------------------------------
@@ -470,24 +475,14 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
             concise_bad.add(f"proposition-set mismatch for "
                             f"{print_formula(ast)}")
 
-    elapsed = time.time() - start
     details = {"formulas": enum.generated, "registered": len(enum.closures),
                "cross_checked": cross_checked, "max_size": max_size,
                "image_nodes": len(tf_sigs)}
-
-    def result(name, bag):
-        return SuiteResult(name=name, checked=enum.generated,
-                           violation_count=bag.count,
-                           violations=tuple(bag.kept),
-                           elapsed_seconds=elapsed, details=details)
-
-    return {
-        "temporal-elimination": result("temporal-elimination", elim),
-        "subformula-counting": result("subformula-counting", counting),
-        "concise-representation": result("concise-representation",
-                                         concise_bad),
-        "distinguishability": result("distinguishability", disting),
-    }
+    return {name: _result(name, bag, enum.generated, start, details)
+            for name, bag in (("temporal-elimination", elim),
+                              ("subformula-counting", counting),
+                              ("concise-representation", concise_bad),
+                              ("distinguishability", disting))}
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +559,11 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
                         bad.add(f"{quant}({op}) differs at "
                                 f"signatures {a},{b}")
 
-    return SuiteResult(
-        name="quantifier-transfer",
-        checked=checked + sample_count,
-        violation_count=bad.count,
-        violations=tuple(bad.kept),
-        elapsed_seconds=time.time() - start,
-        details={"exhaustive_formulas": checked, "literal_max_size":
-                 literal_max_size, "sampled_formulas": sample_count,
-                 "signature_combinations": table_checked ** 2},
-    )
+    return _result("quantifier-transfer", bad, checked + sample_count, start,
+                   {"exhaustive_formulas": checked,
+                    "literal_max_size": literal_max_size,
+                    "sampled_formulas": sample_count,
+                    "signature_combinations": table_checked ** 2})
 
 
 _CTL_QUANT_UNARY = tuple((q, op) for q in QUANTIFIERS
@@ -660,14 +650,17 @@ def random_cnfs(count: int, seed: int, max_variables: int = 4,
     return out
 
 
-def _round_trip_one(args):
-    variables, clauses = args
-    cnf = CnfInstance(variables, clauses)
+def _round_trip_one(cnf):
+    """One CNF through both logics: its satisfiability, the decision of
+    learning its word sample, whether that witness yields a satisfying
+    assignment, and the decision of learning the same sample's one-state
+    structures."""
     t0 = time.time()
-    satisfiable = sat_oracle(cnf) is not None
-    outcome = learn(reduce_sat(cnf))
-    record = {"satisfiable": satisfiable, "learned": outcome.decision,
-              "extraction_ok": True, "witness_size": outcome.size}
+    sample = reduce_sat(cnf)
+    outcome = learn(sample)
+    record = {"satisfiable": sat_oracle(cnf) is not None,
+              "learned": outcome.decision, "extraction_ok": True,
+              "ctl_learned": learn(reduce_ltl_to_ctl(sample)).decision}
     if outcome.decision:
         try:
             valuation = extract_valuation(outcome.witness, cnf)
@@ -676,15 +669,6 @@ def _round_trip_one(args):
             record["extraction_ok"] = False
     record["elapsed"] = time.time() - t0
     return record
-
-
-def _ctl_decision_one(args):
-    variables, clauses = args
-    cnf = CnfInstance(variables, clauses)
-    t0 = time.time()
-    outcome = learn(reduce_ltl_to_ctl(reduce_sat(cnf)))
-    return {"learned": outcome.decision, "witness_size": outcome.size,
-            "elapsed": time.time() - t0}
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -709,62 +693,39 @@ def _parallel_map(fn, items, jobs):
         return pool.map(fn, items, chunksize=8)
 
 
-def _cnf_args(instances):
-    return [(cnf.variable_count, cnf.clauses) for cnf in instances]
+def run_cnf_round_trip(instances, jobs: int | None = None) -> dict:
+    """One pass over `instances`, each CNF reduced once and handled in one
+    worker call.
 
+    Returns two :class:`SuiteResult` values keyed by:
 
-def run_cnf_round_trip(instances, jobs: int | None = None) -> SuiteResult:
-    """Satisfiability agrees with learnability of the sample encoding, and
-    every learned witness yields a satisfying assignment."""
+    * ``"cnf-round-trip"`` — satisfiability agrees with learnability of the
+      word sample, and every learned witness yields a satisfying
+      assignment;
+    * ``"ctl-round-trip"`` — learning on the one-state structures of the
+      same sample decides as learning on its words did.
+    """
     start = time.time()
-    records = _parallel_map(_round_trip_one, _cnf_args(instances), jobs)
-    bad = _Violations()
-    decisions = []
+    records = _parallel_map(_round_trip_one, instances, jobs)
+    ltl, ctl = _Violations(), _Violations()
     sat_count = 0
     for cnf, rec in zip(instances, records):
-        decisions.append(rec["learned"])
         sat_count += rec["satisfiable"]
         if rec["satisfiable"] != rec["learned"]:
-            bad.add(f"decision mismatch on {cnf}: satisfiable="
+            ltl.add(f"decision mismatch on {cnf}: satisfiable="
                     f"{rec['satisfiable']} learned={rec['learned']}")
         elif rec["learned"] and not rec["extraction_ok"]:
-            bad.add(f"extraction failed on {cnf}")
-    return SuiteResult(
-        name="cnf-round-trip",
-        checked=len(instances),
-        violation_count=bad.count,
-        violations=tuple(bad.kept),
-        elapsed_seconds=time.time() - start,
-        details={"satisfiable": sat_count,
-                 "unsatisfiable": len(instances) - sat_count,
-                 "decisions": decisions,
-                 "max_instance_seconds": max(
-                     (r["elapsed"] for r in records), default=0.0)},
-    )
-
-
-def run_ctl_round_trip(instances, ltl_decisions=None,
-                       jobs: int | None = None) -> SuiteResult:
-    """Branching-time learner decisions on the single-state encoding agree
-    with the word-based decisions (and hence with satisfiability)."""
-    start = time.time()
-    records = _parallel_map(_ctl_decision_one, _cnf_args(instances), jobs)
-    bad = _Violations()
-    for i, (cnf, rec) in enumerate(zip(instances, records)):
-        expected = (ltl_decisions[i] if ltl_decisions is not None
-                    else sat_oracle(cnf) is not None)
-        if rec["learned"] != expected:
-            bad.add(f"branching-time decision mismatch on {cnf}: "
-                    f"expected {expected} got {rec['learned']}")
-    return SuiteResult(
-        name="ctl-round-trip",
-        checked=len(instances),
-        violation_count=bad.count,
-        violations=tuple(bad.kept),
-        elapsed_seconds=time.time() - start,
-        details={"max_instance_seconds": max(
-            (r["elapsed"] for r in records), default=0.0)},
-    )
+            ltl.add(f"extraction failed on {cnf}")
+        if rec["ctl_learned"] != rec["learned"]:
+            ctl.add(f"branching-time decision mismatch on {cnf}: "
+                    f"expected {rec['learned']} got {rec['ctl_learned']}")
+    details = {"satisfiable": sat_count,
+               "unsatisfiable": len(instances) - sat_count,
+               "max_instance_seconds": max(
+                   (r["elapsed"] for r in records), default=0.0)}
+    return {name: _result(name, bag, len(instances), start, details)
+            for name, bag in (("cnf-round-trip", ltl),
+                              ("ctl-round-trip", ctl))}
 
 
 # ---------------------------------------------------------------------------
@@ -801,11 +762,5 @@ def run_lasso_oracle_equivalence(pairs: int = 10000, seed: int = 0,
             positions += 1
             if naive_check_ltl(f, w, position=i) != vector[i]:
                 bad.add(f"{print_formula(f)} at position {i} of {w}")
-    return SuiteResult(
-        name="lasso-oracle-equivalence",
-        checked=pairs,
-        violation_count=bad.count,
-        violations=tuple(bad.kept),
-        elapsed_seconds=time.time() - start,
-        details={"positions_checked": positions},
-    )
+    return _result("lasso-oracle-equivalence", bad, pairs, start,
+                   {"positions_checked": positions})

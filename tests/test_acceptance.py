@@ -29,8 +29,8 @@ from templearn import (
     Word, learn, parse_ltl, reduce_sat, verify,
 )
 from templearn.suites import (
-    exhaustive_cnfs, random_cnfs, run_cnf_round_trip, run_ctl_round_trip,
-    run_formula_sweep, run_lasso_oracle_equivalence, run_quantifier_transfer,
+    exhaustive_cnfs, random_cnfs, run_cnf_round_trip, run_formula_sweep,
+    run_lasso_oracle_equivalence, run_quantifier_transfer,
     run_reduct_identities,
 )
 
@@ -55,6 +55,8 @@ def cnf_batch():
 
 @pytest.fixture(scope="module")
 def cnf_round_trip(cnf_batch):
+    """One pass over the batch through both logics: the word-based and the
+    structure-based results, keyed by suite name."""
     return run_cnf_round_trip(cnf_batch)
 
 
@@ -92,7 +94,7 @@ def test_criterion_1_bundled_example(example1_cnf, example1_sample,
 
 
 def test_criterion_2_cnf_round_trip(cnf_batch, cnf_round_trip):
-    result = cnf_round_trip
+    result = cnf_round_trip["cnf-round-trip"]
     assert result.checked == len(cnf_batch) == 670
     assert result.violations == ()
     assert result.passed
@@ -138,8 +140,8 @@ def test_criterion_5_counting_and_conciseness(formula_sweep):
 def test_criterion_6_ctl_transfer(cnf_batch, cnf_round_trip):
     # Branching-time decisions on the one-state encodings agree with the
     # word-based decisions (and hence with satisfiability) on the full
-    # criterion-2 batch.
-    ctl = run_ctl_round_trip(cnf_batch, cnf_round_trip.details["decisions"])
+    # criterion-2 batch, read off the same pass as criterion 2.
+    ctl = cnf_round_trip["ctl-round-trip"]
     assert ctl.checked == len(cnf_batch)
     assert ctl.violations == ()
     assert ctl.passed

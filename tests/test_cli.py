@@ -424,6 +424,38 @@ class TestVerifyProperties:
         code, _, err = run(capsys, "verify-properties", "--props", "9")
         assert code == EXIT_ERROR and "--props" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("--suite", "cnf", "--cnf-variables", "0"), "--cnf-variables"),
+        (("--suite", "cnf", "--cnf-variables", "-2"), "--cnf-variables"),
+        (("--suite", "reducts", "--max-size", "0"), "--max-size"),
+        (("--suite", "sweep", "--max-size", "0"), "--max-size"),
+        (("--suite", "quantifier-transfer", "--max-size", "-1"),
+         "--max-size"),
+    ])
+    def test_size_validation(self, capsys, argv, option):
+        # Each of these used to crash or to pass having checked nothing.
+        code, out, err = run(capsys, "verify-properties", *argv,
+                             "--jobs", "1")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: {option} must be at least 1\n"
+
+    def test_golden_report(self, capsys):
+        # Every suite at a small scale: the report outside `timing` is
+        # fixed byte for byte, and `timing` names the suites in run order.
+        code, out, _ = run(
+            capsys, "verify-properties", "--json", "--max-size", "3",
+            "--cnf-random", "30", "--jobs", "1")
+        assert code == EXIT_OK
+        golden = Path(__file__).parent / "golden" / "verify_properties.json"
+        assert out[:out.index(',\n  "timing"')] + "\n}\n" == \
+            golden.read_text()
+        assert list(json.loads(out)["timing"]) == [
+            "single-letter-reducts", "temporal-elimination",
+            "subformula-counting", "concise-representation",
+            "distinguishability", "quantifier-transfer", "cnf-round-trip",
+            "ctl-round-trip", "lasso-oracle-equivalence"]
+
 
 class TestTopLevel:
     def test_missing_subcommand_is_usage_error(self):

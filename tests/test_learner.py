@@ -377,6 +377,43 @@ class TestPruningUnderDagSize:
         out = learn(self.three_propositions(), LearnConfig(bound=4))
         assert out.decision and out.size == 4
 
+    @staticmethod
+    def has_distinct_signatures(sample):
+        """Whether the exhaustive search finds a witness; if it does, its
+        distinct sub-formulas must have distinct signatures over the
+        sample's domain, one per node of its DAG size."""
+        out = learn(sample, LearnConfig(dedup=DedupMode.NONE))
+        if not out.decision:
+            return False
+        domain = _build_domain(sample)[0]
+        subs = subformulas(out.witness)
+        assert len(subs) == out.size
+        assert len({domain.evaluate(g) for g in subs}) == out.size, \
+            f"{print_formula(out.witness)} on {sample}"
+        return True
+
+    def test_minimal_witnesses_have_distinct_signatures(self):
+        # The lemma an exact pruned search rests on: two sub-formulas with
+        # one signature merge into a smaller separator, so a minimal one
+        # has none.
+        rng = random.Random(7)
+        found = sum(self.has_distinct_signatures(random_sample(
+            rng, ("p", "q") if k % 3 else ("p", "q", "r"), bound=4))
+            for k in range(150))
+        assert found == 145
+
+    def test_minimal_ctl_witnesses_have_distinct_signatures(self):
+        found = sum(self.has_distinct_signatures(reduce_ltl_to_ctl(
+            reduce_sat(CnfInstance(2, clauses))))
+            for clauses in (((1, 2),), ((1, -2), (-1,)), ((1,), (-1,))))
+        rng = random.Random(7)
+        for _ in range(12):
+            # Every second structure has two initial states.
+            structures = [kripke(rng, 3, 1 + k % 2) for k in range(4)]
+            found += self.has_distinct_signatures(Sample(
+                ["p", "q"], "ctl", structures[:2], structures[2:], bound=4))
+        assert found == 12
+
 
 def pack_lanes(values, width):
     return int.from_bytes(b"".join(v.to_bytes(width, "little")

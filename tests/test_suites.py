@@ -6,10 +6,11 @@ from templearn import suites
 from templearn.formulas import (
     AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
 )
+from templearn.reductions import CnfInstance, reduce_sat, sat_oracle
 from templearn.semantics import LtlDomain
 from templearn.suites import (
     SuiteResult, exhaustive_cnfs, random_cnfs, resolve_jobs,
-    run_cnf_round_trip, run_ctl_round_trip, run_formula_sweep,
+    run_cnf_round_trip, run_formula_sweep,
     run_lasso_oracle_equivalence, run_quantifier_transfer,
     run_reduct_identities, single_letters,
 )
@@ -104,38 +105,23 @@ class TestSmallRuns:
         assert result.passed
 
     def test_cnf_round_trip(self):
+        # One pass checks each CNF's word learning against satisfiability
+        # and its structure learning against the word learning.
         instances = exhaustive_cnfs(variables=1, max_clauses=2)
-        result = run_cnf_round_trip(instances, jobs=1)
-        assert result.passed
-        assert result.details["satisfiable"] > 0
-        assert result.details["unsatisfiable"] > 0
-        assert len(result.details["decisions"]) == len(instances)
-
-    def test_ctl_round_trip(self):
-        instances = exhaustive_cnfs(variables=1, max_clauses=2)
-        ltl = run_cnf_round_trip(instances, jobs=1)
-        ctl = run_ctl_round_trip(instances, ltl.details["decisions"], jobs=1)
-        assert ctl.passed
-
-    def test_ctl_round_trip_without_reference(self):
-        instances = exhaustive_cnfs(variables=1, max_clauses=1)
-        assert run_ctl_round_trip(instances, jobs=1).passed
+        results = run_cnf_round_trip(instances, jobs=1)
+        assert list(results) == ["cnf-round-trip", "ctl-round-trip"]
+        for name, result in results.items():
+            assert result.name == name
+            assert result.passed
+            assert result.checked == len(instances)
+        details = results["cnf-round-trip"].details
+        assert details["satisfiable"] > 0
+        assert details["unsatisfiable"] > 0
 
     def test_lasso(self):
         result = run_lasso_oracle_equivalence(pairs=200, seed=3)
         assert result.passed
         assert result.details["positions_checked"] >= 200
-
-    def test_violations_are_reported(self):
-        # A deliberately broken comparison: feed the CTL suite inverted
-        # reference decisions and expect violations, not a crash.
-        instances = exhaustive_cnfs(variables=1, max_clauses=1)
-        truth = run_cnf_round_trip(instances, jobs=1).details["decisions"]
-        wrong = [not d for d in truth]
-        result = run_ctl_round_trip(instances, wrong, jobs=1)
-        assert not result.passed
-        assert result.violation_count == len(instances)
-        assert result.violations  # messages kept for the report
 
 
 class TestPlantedFaults:
@@ -242,3 +228,28 @@ class TestPlantedFaults:
             "image of q & p disagrees on a constant word",
         )
         assert all(r.passed for r in results.values())
+
+    def test_cnf_round_trip_reports_each_wrong_branching_decision(
+            self, monkeypatch):
+        # The structures forget the clauses: they encode the empty CNF over
+        # the same variables, which is satisfiable, so structure learning
+        # says yes on each unsatisfiable CNF.
+        reduce = suites.reduce_ltl_to_ctl
+        monkeypatch.setattr(
+            suites, "reduce_ltl_to_ctl",
+            lambda s: reduce(reduce_sat(CnfInstance(len(s.alphabet) // 2,
+                                                    ()))))
+        instances = exhaustive_cnfs(variables=2, max_clauses=3)
+        results = run_cnf_round_trip(instances, jobs=1)
+        assert results["cnf-round-trip"].passed
+        assert results["cnf-round-trip"].details["unsatisfiable"] == 34
+        ctl = results["ctl-round-trip"]
+        assert (ctl.checked, ctl.violation_count) == (470, 34)
+        unsat = [cnf for cnf in instances if sat_oracle(cnf) is None]
+        assert ctl.violations == tuple(
+            f"branching-time decision mismatch on {cnf}: expected False "
+            f"got True" for cnf in unsat[:20])
+        assert ctl.violations[0] == (
+            "branching-time decision mismatch on CnfInstance("
+            "variable_count=2, clauses=((1,), (-1,))): expected False "
+            "got True")

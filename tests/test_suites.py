@@ -6,7 +6,10 @@ from templearn import suites
 from templearn.formulas import (
     AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
 )
-from templearn.reductions import CnfInstance, reduce_sat, sat_oracle
+from templearn.learner import learn
+from templearn.reductions import (
+    CnfInstance, reduce_ltl_to_ctl, reduce_sat, sat_oracle,
+)
 from templearn.semantics import LtlDomain
 from templearn.suites import (
     SuiteResult, exhaustive_cnfs, random_cnfs, resolve_jobs,
@@ -117,6 +120,21 @@ class TestSmallRuns:
         details = results["cnf-round-trip"].details
         assert details["satisfiable"] > 0
         assert details["unsatisfiable"] > 0
+
+    def test_ctl_round_trip(self):
+        instances = exhaustive_cnfs(variables=1, max_clauses=2)
+        ctl = run_cnf_round_trip(instances, jobs=1)["ctl-round-trip"]
+        assert ctl.passed
+        assert (ctl.checked, ctl.violation_count) == (len(instances), 0)
+
+    def test_ctl_round_trip_without_reference(self):
+        # Structure learning decides satisfiability on its own, without
+        # the word learning the pass compares it with.
+        instances = exhaustive_cnfs(variables=1, max_clauses=1)
+        for cnf in instances:
+            decision = learn(reduce_ltl_to_ctl(reduce_sat(cnf))).decision
+            assert decision == (sat_oracle(cnf) is not None), cnf
+        assert run_cnf_round_trip(instances, jobs=1)["ctl-round-trip"].passed
 
     def test_lasso(self):
         result = run_lasso_oracle_equivalence(pairs=200, seed=3)

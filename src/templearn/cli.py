@@ -305,9 +305,11 @@ def _cmd_extract(args) -> int:
 def _cmd_verify_properties(args) -> int:
     if args.props < 1 or args.props > 3:
         raise _CliError("--props must be between 1 and 3")
-    for name in ("max_size", "cnf_variables"):
-        if getattr(args, name) < 1:
-            raise _CliError(f"--{name.replace('_', '-')} must be at least 1")
+    for name, least in (("max_size", 1), ("cnf_variables", 1), ("pairs", 1),
+                        ("cnf_clauses", 0), ("cnf_random", 0)):
+        if getattr(args, name) < least:
+            raise _CliError(
+                f"--{name.replace('_', '-')} must be at least {least}")
     props = ("p", "q", "r")[:args.props]
     results = []
 

@@ -66,8 +66,10 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
+@lru_cache(maxsize=1024)
 def validate_proposition(name: str) -> str:
-    """Check that `name` is a legal proposition and return it."""
+    """Check that `name` is a legal proposition and return it.  Accepted
+    names are remembered; a rejected one raises afresh each time."""
     if not _PROP_RE.match(name):
         raise ValueError(f"illegal proposition name {name!r}")
     if name in RESERVED_WORDS:

@@ -23,6 +23,9 @@ Branching-time samples replace `pos:`/`neg:` lines with blocks:
     edge s0 s1
     edge s1 s0
     end
+
+`load_sample` parses each distinct letter text once per file, and builds
+the examples from letters it has checked against the alphabet.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ class Word:
         object.__setattr__(self, "period", tuple(_letter(a) for a in period))
         if not self.period:
             raise ValueError("the period of a word must not be empty")
+
+    @classmethod
+    def _of(cls, prefix: tuple, period: tuple) -> "Word":
+        """The word of letters already checked: tuples of frozensets of
+        legal names, the period not empty."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "prefix", prefix)
+        object.__setattr__(word, "period", period)
+        return word
 
     @property
     def length(self) -> int:
@@ -115,27 +127,7 @@ class KripkeStructure:
     labels: tuple  # aligned with `states`
 
     def __init__(self, states, initial, edges, labels):
-        states = tuple(states)
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state names")
-        if not states:
-            raise ValueError("a structure needs at least one state")
-        index = {s: i for i, s in enumerate(states)}
-        initial = frozenset(initial)
-        if not initial:
-            raise ValueError("at least one initial state is required")
-        for s in initial:
-            if s not in index:
-                raise ValueError(f"unknown initial state {s!r}")
-        edges = frozenset((a, b) for a, b in edges)
-        for a, b in edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses an unknown state")
-        missing = [s for s in states if not any(a == s for a, _ in edges)]
-        if missing:
-            raise ValueError(
-                f"transition relation is not total: {missing[0]!r} has no successor"
-            )
+        states, initial, edges = _shape(states, initial, edges)
         if isinstance(labels, dict):
             if set(labels) != set(states):
                 raise ValueError("labels must cover exactly the declared states")
@@ -144,6 +136,17 @@ class KripkeStructure:
             labels = tuple(_letter(l) for l in labels)
             if len(labels) != len(states):
                 raise ValueError("labels must cover exactly the declared states")
+        self._fill(states, initial, edges, labels)
+
+    @classmethod
+    def _of(cls, states, initial, edges, labels: tuple) -> "KripkeStructure":
+        """The structure whose labels, aligned with `states`, are letters
+        already checked."""
+        structure = object.__new__(cls)
+        structure._fill(*_shape(states, initial, edges), labels)
+        return structure
+
+    def _fill(self, states, initial, edges, labels):
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "edges", edges)
@@ -159,6 +162,33 @@ class KripkeStructure:
 
     def props(self) -> frozenset:
         return frozenset().union(*self.labels)
+
+
+def _shape(states, initial, edges) -> tuple:
+    """Check and normalise the states, initial states and edges of a
+    finite total transition system."""
+    states = tuple(states)
+    if len(set(states)) != len(states):
+        raise ValueError("duplicate state names")
+    if not states:
+        raise ValueError("a structure needs at least one state")
+    index = {s: i for i, s in enumerate(states)}
+    initial = frozenset(initial)
+    if not initial:
+        raise ValueError("at least one initial state is required")
+    for s in initial:
+        if s not in index:
+            raise ValueError(f"unknown initial state {s!r}")
+    edges = frozenset((a, b) for a, b in edges)
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a!r}, {b!r}) uses an unknown state")
+    missing = [s for s in states if not any(a == s for a, _ in edges)]
+    if missing:
+        raise ValueError(
+            f"transition relation is not total: {missing[0]!r} has no successor"
+        )
+    return states, initial, edges
 
 
 def embed_word(word: Word) -> KripkeStructure:
@@ -196,9 +226,10 @@ class Sample:
         if logic not in (LTL, CTL):
             raise ValueError(f"logic must be {LTL!r} or {CTL!r}, not {logic!r}")
         wanted = Word if logic == LTL else KripkeStructure
-        positives = _dedup(positives)
-        negatives = _dedup(negatives)
-        for example in positives + negatives:
+        # dicts keep the first occurrence of each example, in order
+        positives = dict.fromkeys(positives)
+        negatives = dict.fromkeys(negatives)
+        for example in (*positives, *negatives):
             if not isinstance(example, wanted):
                 raise ValueError(
                     f"a {logic} sample cannot contain {type(example).__name__}"
@@ -206,8 +237,7 @@ class Sample:
             if not example.props() <= alphabet:
                 extra = sorted(example.props() - alphabet)
                 raise ValueError(f"example uses {extra[0]!r} outside the alphabet")
-        overlap = set(positives) & set(negatives)
-        if overlap:
+        if not positives.keys().isdisjoint(negatives):
             raise ValueError(
                 "the same example appears as both positive and negative"
             )
@@ -215,23 +245,13 @@ class Sample:
             raise ValueError("bound must be at least 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "logic", logic)
-        object.__setattr__(self, "positives", positives)
-        object.__setattr__(self, "negatives", negatives)
+        object.__setattr__(self, "positives", tuple(positives))
+        object.__setattr__(self, "negatives", tuple(negatives))
         object.__setattr__(self, "bound", bound)
 
     @property
     def examples(self) -> tuple:
         return self.positives + self.negatives
-
-
-def _dedup(items) -> tuple:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +261,51 @@ def _dedup(items) -> tuple:
 _SET_RE = re.compile(r"\{([^{}]*)\}\Z")
 
 
-def _parse_letter(text: str, line: int) -> frozenset:
-    m = _SET_RE.match(text.strip())
-    if m is None:
-        raise SampleFormatError(f"malformed letter {text.strip()!r}", line)
-    inner = m.group(1).strip()
-    if not inner:
-        return frozenset()
-    return frozenset(part.strip() for part in inner.split(","))
+def _parse_letter(text: str, line: int, memo: dict) -> frozenset:
+    """The letter written `text`; `memo` maps each text already read to
+    its letter, so that a text is parsed once however often it repeats."""
+    letter = memo.get(text)
+    if letter is None:
+        m = _SET_RE.match(text.strip())
+        if m is None:
+            raise SampleFormatError(f"malformed letter {text.strip()!r}", line)
+        inner = m.group(1).strip()
+        letter = memo[text] = frozenset(
+            map(str.strip, inner.split(","))) if inner else frozenset()
+    return letter
 
 
-def _parse_letters(text: str, line: int) -> tuple:
+def _parse_letters(text: str, line: int, memo: dict) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(_parse_letter(part, line) for part in text.split(";"))
+    parts = text.split(";")
+    letters = tuple(map(memo.get, parts))
+    if None in letters:
+        letters = tuple([_parse_letter(part, line, memo) for part in parts])
+    return letters
+
+
+def _word_letters(text: str, line: int, memo: dict) -> tuple:
+    """The prefix and the period of `prefix | period` word notation, each a
+    tuple of letters whose names are not checked yet."""
+    halves = text.split("|")
+    if len(halves) != 2:
+        raise SampleFormatError(
+            "a word needs exactly one '|' between prefix and period", line
+        )
+    prefix_text, period_text = halves
+    period = _parse_letters(period_text, line, memo)
+    if not period:
+        raise SampleFormatError("the period must contain at least one letter", line)
+    return _parse_letters(prefix_text, line, memo), period
 
 
 def parse_word_text(text: str, line: int = 0) -> Word:
     """Parse `prefix | period` word notation."""
-    if text.count("|") != 1:
-        raise SampleFormatError(
-            "a word needs exactly one '|' between prefix and period", line
-        )
-    prefix_text, period_text = text.split("|")
-    period = _parse_letters(period_text, line)
-    if not period:
-        raise SampleFormatError("the period must contain at least one letter", line)
+    prefix, period = _word_letters(text, line, {})
     try:
-        return Word(_parse_letters(prefix_text, line), period)
+        return Word(prefix, period)
     except ValueError as exc:
         raise SampleFormatError(str(exc), line) from exc
 
@@ -285,13 +321,23 @@ def word_to_text(word: Word) -> str:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file; raises SampleFormatError with a line number."""
-    lines = Path(path).read_text().splitlines()
+    """Read a sample file; raises SampleFormatError with a line number.
+
+    Each distinct letter text is parsed once per file, and checked on the
+    line or block that first reads it: a bad letter stops the load there,
+    so a line of texts read before needs no check.  The alphabet's names
+    are checked when it is declared, so a letter inside the alphabet has
+    legal names, and the examples are built from their letters without
+    checking the names again.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     alphabet = None
     logic = None
     bound = None
     positives: list = []
     negatives: list = []
+    memo: dict = {}  # letter text -> letter, shared by every example
 
     def require_header(lineno: int):
         if alphabet is None or logic is None:
@@ -338,17 +384,22 @@ def load_sample(path) -> Sample:
             require_header(lineno)
             if logic != LTL:
                 raise SampleFormatError(f"'{key}:' lines belong to ltl samples", lineno)
-            word = parse_word_text(value, lineno)
-            _check_props(word.props(), alphabet, lineno)
-            (positives if key == "pos" else negatives).append(word)
+            known = len(memo)
+            prefix, period = _word_letters(value, lineno, memo)
+            if len(memo) > known:
+                _check_letters(prefix + period, alphabet, lineno, lineno)
+            (positives if key == "pos" else negatives).append(
+                Word._of(prefix, period))
         elif key in ("pos-kripke", "neg-kripke"):
             require_header(lineno)
             if logic != CTL:
                 raise SampleFormatError(f"'{key}:' blocks belong to ctl samples", lineno)
             if value:
                 raise SampleFormatError(f"unexpected text after '{key}:'", lineno)
-            structure, i = _parse_kripke_block(lines, i)
-            _check_props(structure.props(), alphabet, lineno)
+            known = len(memo)
+            structure, i = _parse_kripke_block(lines, i, memo)
+            if len(memo) > known:  # `i` is now the line number of `end`
+                _check_letters(structure.labels, alphabet, i, lineno)
             (positives if key == "pos-kripke" else negatives).append(structure)
         else:
             raise SampleFormatError(f"unknown directive {key!r}", lineno)
@@ -358,15 +409,24 @@ def load_sample(path) -> Sample:
     return Sample(alphabet, logic, positives, negatives, bound)
 
 
-def _check_props(used: frozenset, alphabet: frozenset, lineno: int):
-    extra = used - alphabet
-    if extra:
-        raise SampleFormatError(
-            f"proposition {sorted(extra)[0]!r} is not in the alphabet", lineno
-        )
+def _check_letters(letters: tuple, alphabet: frozenset, name_line: int,
+                   line: int):
+    """Raise for the first illegal name in `letters`, at `name_line`, or
+    else for the least name outside `alphabet`, at `line`."""
+    if all(map(alphabet.issuperset, letters)):
+        return
+    try:
+        for letter in letters:
+            _letter(letter)
+    except ValueError as exc:
+        raise SampleFormatError(str(exc), name_line) from exc
+    extra = frozenset().union(*letters) - alphabet
+    raise SampleFormatError(
+        f"proposition {sorted(extra)[0]!r} is not in the alphabet", line
+    )
 
 
-def _parse_kripke_block(lines, i):
+def _parse_kripke_block(lines, i, memo):
     states: list = []
     labels: dict = {}
     initial: list = []
@@ -381,7 +441,8 @@ def _parse_kripke_block(lines, i):
             continue
         if line == "end":
             try:
-                return KripkeStructure(states, initial, edges, labels), i
+                return KripkeStructure._of(states, initial, edges,
+                                           tuple(labels.values())), i
             except ValueError as exc:
                 raise SampleFormatError(str(exc), lineno) from exc
         parts = line.split(None, 2)
@@ -390,7 +451,7 @@ def _parse_kripke_block(lines, i):
             if name in labels:
                 raise SampleFormatError(f"state {name!r} declared twice", lineno)
             states.append(name)
-            labels[name] = _parse_letter(letter_text, lineno)
+            labels[name] = _parse_letter(letter_text, lineno, memo)
         elif parts[0] == "init" and len(parts) == 2:
             initial.append(parts[1])
         elif parts[0] == "edge" and len(parts) == 3:

@@ -88,9 +88,16 @@ class _Fixpoints:
     """
 
     def prop_vector(self, name: str) -> int:
-        """The vector of the positions whose letter holds `name`."""
-        return sum(1 << bit for bit, letter in enumerate(self.letters)
-                   if name in letter)
+        """The vector of the positions whose letter holds `name`, built on
+        the first request for `name` and kept in `_props`."""
+        v = self._props.get(name)
+        if v is None:
+            v = 0
+            for bit, letter in enumerate(self.letters):
+                if name in letter:
+                    v |= 1 << bit
+            self._props[name] = v
+        return v
 
     def v_eu(self, a: int, b: int) -> int:
         """E (a U b): the least fixpoint of z = b | (a & EX z)."""
@@ -198,6 +205,7 @@ class LtlDomain(_Fixpoints):
 
     def __init__(self, words):
         self.letters = []
+        self._props = {}
         self.starts = []
         body = 0  # every class except the last one of each word
         loop_starts: dict = {}  # period length -> loop-start bits
@@ -240,6 +248,7 @@ class CtlDomain(_Fixpoints):
 
     def __init__(self, structures):
         self.letters = []  # the state labels
+        self._props = {}
         self.starts = []
         # Per structure: its offset, the mask of its states, and the
         # predecessor mask of each state with a predecessor, both local.

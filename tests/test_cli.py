@@ -431,14 +431,31 @@ class TestVerifyProperties:
         (("--suite", "sweep", "--max-size", "0"), "--max-size"),
         (("--suite", "quantifier-transfer", "--max-size", "-1"),
          "--max-size"),
+        (("--suite", "lasso", "--pairs", "0"), "--pairs"),
+        (("--suite", "lasso", "--pairs", "-3"), "--pairs"),
+        (("--suite", "cnf", "--cnf-clauses", "-1", "--cnf-random", "0"),
+         "--cnf-clauses"),
+        (("--suite", "cnf", "--cnf-random", "-1"), "--cnf-random"),
     ])
     def test_size_validation(self, capsys, argv, option):
         # Each of these used to crash or to pass having checked nothing.
+        # Counts of CNFs may be 0; sizes and the number of pairs may not.
+        least = 0 if option in ("--cnf-clauses", "--cnf-random") else 1
         code, out, err = run(capsys, "verify-properties", *argv,
                              "--jobs", "1")
         assert code == EXIT_ERROR
         assert out == ""
-        assert err == f"error: {option} must be at least 1\n"
+        assert err == f"error: {option} must be at least {least}\n"
+
+    def test_zero_clauses_is_the_empty_cnf(self, capsys):
+        # `--cnf-clauses 0` stays valid: the one CNF with no clauses.
+        code, out, err = run(capsys, "verify-properties", "--suite", "cnf",
+                             "--cnf-clauses", "0", "--cnf-random", "0",
+                             "--cnf-variables", "1", "--jobs", "1", "--json")
+        assert code == EXIT_OK, err
+        suites = json.loads(out)["outcome"]["suites"]
+        assert [(name, entry["checked"]) for name, entry in suites.items()] \
+            == [("cnf-round-trip", 1), ("ctl-round-trip", 1)]
 
     def test_golden_report(self, capsys):
         # Every suite at a small scale: the report outside `timing` is
@@ -482,6 +499,22 @@ class TestTopLevel:
             env={**os.environ, "PYTHONPATH": str(package_dir)})
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == f"templearn {templearn.__version__}"
+
+    def test_package_import_leaves_out_the_cli_and_the_suites(self):
+        # The benchmark's `setup_s` times `import templearn`; the command
+        # line and the property suites are imported only by their users.
+        package_dir = Path(templearn.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, templearn; print(json.dumps(sorted(m for m "
+             "in sys.modules if m.startswith('templearn.'))))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(package_dir)})
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert "templearn.models" in loaded
+        assert "templearn.cli" not in loaded
+        assert "templearn.suites" not in loaded
 
     def test_console_script_is_installed(self):
         # The launcher contract is checked from pyproject.toml and the

@@ -1,5 +1,7 @@
 """Words, structures, samples, and the on-disk sample format."""
 
+import random
+
 import pytest
 
 from templearn import (
@@ -220,3 +222,167 @@ class TestSampleFiles:
         assert k.states == ("s0", "s1")
         assert k.label_of("s0") == frozenset({"p", "q"})
         assert k.initial == frozenset({"s0"})
+
+
+# The exact message and line of each malformed file.  On one line the
+# period's letters are read before the prefix's, a malformed letter is
+# reported before an illegal name, and an illegal name before a name
+# outside the alphabet; a structure's labels are checked at its `end`
+# line, against the alphabet at its first line.
+_LTL = "alphabet: p, q\nlogic: ltl\n"
+_CTL = "alphabet: p\nlogic: ctl\n"
+_STRUCTURE = "state a {p}\ninit a\nedge a a\nend\n"
+
+
+class TestSampleFormatErrors:
+    @pytest.mark.parametrize("text,line,message", [
+        # an illegal name in a letter that repeats on a later line
+        (_LTL + "pos: {1} | {p}\nneg: {1} | {q}\n", 3,
+         "illegal proposition name '1'"),
+        (_LTL + "pos: | {p};{p,1}\nneg: {p,1} | {q}\n", 3,
+         "illegal proposition name '1'"),
+        (_LTL + "pos: {p} | {q}\nneg: {q} | {p};{2}\npos: | {2}\n", 4,
+         "illegal proposition name '2'"),
+        # reserved words
+        (_LTL + "pos: | {p}\nneg: {p};{X} | {p}\n", 4,
+         "proposition name 'X' is a reserved word"),
+        (_LTL + "pos: | {U,p}\n", 3,
+         "proposition name 'U' is a reserved word"),
+        # names outside the alphabet
+        (_LTL + "pos: {p} | {q}\nneg: {p} | {p};{r}\n", 4,
+         "proposition 'r' is not in the alphabet"),
+        (_LTL + "pos: | {r,s}\n", 3, "proposition 'r' is not in the alphabet"),
+        (_LTL + "pos: {r} | {1}\n", 3, "illegal proposition name '1'"),
+        (_LTL + "pos: {1} | {r}\n", 3, "illegal proposition name '1'"),
+        # a malformed letter after a good copy of the same text
+        (_LTL + "pos: {p} | {p}\nneg: {q} | {p};{p\n", 4,
+         "malformed letter '{p'"),
+        (_LTL + "pos: | {p};{p}}\n", 3, "malformed letter '{p}}'"),
+        (_LTL + "pos: | {p}\nneg: | p\n", 4, "malformed letter 'p'"),
+        (_LTL + "pos: {1} | {p\n", 3, "malformed letter '{p'"),
+        # an empty name; whitespace inside a letter is not part of a name
+        (_LTL + "pos: | {p,,q}\n", 3, "illegal proposition name ''"),
+        (_LTL + "pos: | { p , q }\nneg: | { p , 1 }\n", 4,
+         "illegal proposition name '1'"),
+        # word structure
+        (_LTL + "pos: {p}\n", 3,
+         "a word needs exactly one '|' between prefix and period"),
+        (_LTL + "pos: {p} | | {q}\n", 3,
+         "a word needs exactly one '|' between prefix and period"),
+        (_LTL + "pos: {1} |\n", 3,
+         "the period must contain at least one letter"),
+        # Kripke state labels
+        (_CTL + "pos-kripke:\nstate a {1}\ninit a\nedge a a\nend\n", 7,
+         "illegal proposition name '1'"),
+        (_CTL + "pos-kripke:\n" + _STRUCTURE + "neg-kripke:\nstate a {}\n"
+         "state b {p,E}\ninit a\nedge a b\nedge b b\nend\n", 14,
+         "proposition name 'E' is a reserved word"),
+        (_CTL + "pos-kripke:\n" + _STRUCTURE
+         + "neg-kripke:\nstate a {q}\ninit a\nedge a a\nend\n", 8,
+         "proposition 'q' is not in the alphabet"),
+        (_CTL + "pos-kripke:\nstate a {1}\nedge a a\nend\n", 6,
+         "at least one initial state is required"),
+        (_CTL + "pos-kripke:\nstate a {p}\nstate b {p\ninit a\nedge a a\n"
+         "end\n", 5, "malformed letter '{p'"),
+        (_CTL + "pos-kripke:\nstate a {p}\nstate a {p}\nend\n", 5,
+         "state 'a' declared twice"),
+    ])
+    def test_message_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.sample"
+        path.write_text(text)
+        with pytest.raises(SampleFormatError) as info:
+            load_sample(path)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line == line
+
+    def test_malformed_prefix_letter_names_its_line_once(self, tmp_path):
+        path = tmp_path / "bad.sample"
+        path.write_text(_LTL + "pos: | {p}\nneg: {p | {q}\n")
+        with pytest.raises(SampleFormatError) as info:
+            load_sample(path)
+        assert str(info.value) == "line 4: malformed letter '{p'"
+        with pytest.raises(SampleFormatError) as info:
+            parse_word_text("{q};{p | {q}", 7)
+        assert str(info.value) == "line 7: malformed letter '{p'"
+
+
+def _letter_text(rng, letter) -> str:
+    names = sorted(letter)
+    rng.shuffle(names)
+    pad = rng.choice(("", " "))
+    return "{" + pad + rng.choice((",", ", ", " , ")).join(names) + pad + "}"
+
+
+def _letters_text(rng, letters) -> str:
+    return rng.choice((";", " ; ", "; ")).join(
+        _letter_text(rng, a) for a in letters)
+
+
+class TestLoadSampleDifferential:
+    """`load_sample` of a written file equals the sample built through the
+    public constructors, whatever the spacing inside and between letters."""
+
+    PROPS = ("p", "q", "r")
+
+    def pool(self, rng):
+        # few distinct letters, so that letter texts repeat within a file
+        return [frozenset(rng.sample(self.PROPS, rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 5))]
+
+    def ltl_case(self, rng):
+        pool = self.pool(rng)
+        lines, examples = [], ([], [])
+        for _ in range(rng.randint(1, 8)):
+            prefix = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            period = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            side = rng.randrange(2)
+            tag = ("pos", "neg")[side]
+            bar = rng.choice(("|", " | ", "| ", " |"))
+            lines.append(f"{tag}: {_letters_text(rng, prefix)}{bar}"
+                         f"{_letters_text(rng, period)}")
+            examples[side].append(Word([sorted(a) for a in prefix],
+                                       [sorted(a) for a in period]))
+        return lines, examples
+
+    def ctl_case(self, rng):
+        pool = self.pool(rng)
+        lines, examples = [], ([], [])
+        for _ in range(rng.randint(1, 5)):
+            states = [f"s{i}" for i in range(rng.randint(1, 4))]
+            labels = [rng.choice(pool) for _ in states]
+            initial = rng.sample(states, rng.randint(1, len(states)))
+            edges = sorted({(s, rng.choice(states)) for s in states}
+                           | {(rng.choice(states), rng.choice(states))})
+            side = rng.randrange(2)
+            lines.append(("pos", "neg")[side] + "-kripke:")
+            lines += [f"state {s} {_letter_text(rng, a)}"
+                      for s, a in zip(states, labels)]
+            lines += [f"init {s}" for s in initial]
+            lines += [f"edge {a} {b}" for a, b in edges]
+            lines.append("end")
+            examples[side].append(KripkeStructure(
+                states, initial, edges, [sorted(a) for a in labels]))
+        return lines, examples
+
+    @pytest.mark.parametrize("logic", ["ltl", "ctl"])
+    def test_files_equal_constructed_samples(self, tmp_path, logic):
+        rng = random.Random(f"load-sample-{logic}")
+        path = tmp_path / "s.sample"
+        checked = 0
+        for _ in range(150):
+            lines, (pos, neg) = getattr(self, f"{logic}_case")(rng)
+            if set(pos) & set(neg):
+                continue
+            bound = rng.choice((None, rng.randint(1, 6)))
+            head = [f"alphabet: {', '.join(self.PROPS)}", f"logic: {logic}"]
+            if bound is not None:
+                head.append(f"bound: {bound}")
+            path.write_text("\n".join(head + ["# examples", ""] + lines)
+                            + "\n")
+            want = Sample(self.PROPS, logic, pos, neg, bound)
+            got = load_sample(path)
+            assert got == want
+            assert [type(e) for e in got.examples] == \
+                [type(e) for e in want.examples]
+            checked += 1
+        assert checked > 100

@@ -199,6 +199,39 @@ class TestMultiWordDomain:
         assert several_initial
 
 
+class TestPropVector:
+    """`prop_vector(name)` has bit `i` set exactly when the letter of
+    position `i` holds `name`: a word's classes from its start bit, a
+    structure's states in order.  A name in no letter gives 0."""
+
+    def check(self, rng, domain, letters):
+        names = ["p", "q", "r", "s"]  # "s" is in no letter
+        rng.shuffle(names)
+        for name in names + names:  # the second request reads the first
+            want = sum(1 << i for i, letter in enumerate(letters)
+                       if name in letter)
+            assert domain.prop_vector(name) == want, name
+        assert domain.prop_vector("s") == 0
+
+    def test_ltl(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            words = words_of_size(rng, ["p", "q", "r"], rng.randint(1, 40))
+            domain = LtlDomain(words)
+            letters = [w.letter_at(i) for w in words for i in range(w.length)]
+            assert [1 << sum(w.length for w in words[:k])
+                    for k in range(len(words))] == domain.starts
+            self.check(rng, domain, letters)
+
+    def test_ctl(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            structures = structures_of_size(rng, ["p", "q", "r"],
+                                            rng.randint(1, 40))
+            self.check(rng, CtlDomain(structures),
+                       [a for m in structures for a in m.labels])
+
+
 def words_of_size(rng, props, n):
     """Random words, prefix 0-4 and period 1-4, of `n` classes in all."""
     words = []

@@ -163,8 +163,7 @@ def _cmd_check(args) -> int:
         raise RuntimeError("internal error: the per-example verdicts "
                            "disagree with the separation check")
     report.data["outcome"]["verdicts"] = verdicts
-    report.field("separating", separating,
-                 f"separating: {_text_value(separating)}")
+    report.field("separating", separating)
     report.emit()
     return EXIT_OK
 
@@ -199,12 +198,10 @@ def _cmd_learn(args) -> int:
     report.input_value("bound", bound)
     report.input_value("bound_mode", config.bound_mode.value)
     report.input_value("dedup", config.dedup.value)
-    report.field("decision", outcome.decision,
-                 f"decision: {_text_value(outcome.decision)}")
+    report.field("decision", outcome.decision)
     if outcome.decision:
-        report.field("witness", print_formula(outcome.witness),
-                     f"witness: {print_formula(outcome.witness)}")
-        report.field("size", outcome.size, f"size: {outcome.size}")
+        report.field("witness", print_formula(outcome.witness))
+        report.field("size", outcome.size)
         if not verify(outcome.witness, sample, config):
             raise RuntimeError("internal error: the learned witness failed "
                                "verification")
@@ -306,8 +303,9 @@ def _cmd_verify_properties(args) -> int:
     if args.props < 1 or args.props > 3:
         raise _CliError("--props must be between 1 and 3")
     for name, least in (("max_size", 1), ("cnf_variables", 1), ("pairs", 1),
-                        ("cnf_clauses", 0), ("cnf_random", 0)):
-        if getattr(args, name) < least:
+                        ("cnf_clauses", 0), ("cnf_random", 0), ("jobs", 1)):
+        value = getattr(args, name)
+        if value is not None and value < least:  # an unset --jobs is None
             raise _CliError(
                 f"--{name.replace('_', '-')} must be at least {least}")
     props = ("p", "q", "r")[:args.props]
@@ -462,10 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (_CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -465,7 +465,8 @@ def _parse_kripke_block(lines, i, memo):
 
 
 def save_sample(sample: Sample, path) -> None:
-    """Write `sample` in the format accepted by load_sample."""
+    """Write `sample` in the format accepted by load_sample; a state name
+    that is not one word raises `ValueError` before anything is written."""
     out = [f"alphabet: {', '.join(sorted(sample.alphabet))}"]
     out.append(f"logic: {sample.logic}")
     if sample.bound is not None:
@@ -478,6 +479,9 @@ def save_sample(sample: Sample, path) -> None:
                 out.append(f"{tag}-kripke:")
                 order = {s: i for i, s in enumerate(example.states)}
                 for s, letter in zip(example.states, example.labels):
+                    if str(s).split() != [str(s)]:
+                        raise ValueError(f"state name {s!r} cannot be saved: "
+                                         "it must be one word")
                     out.append(f"state {s} {_letter_text(letter)}")
                 for s in example.states:
                     if s in example.initial:

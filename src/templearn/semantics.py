@@ -8,6 +8,9 @@ whole vectors.  One operator table, keyed by `(token, quantifier)` rows,
 rewrites every operator to these three through its defining identity; the
 checkers and the learner both take their vector functions from it.  Every
 operator node carries its row, so one `evaluate` serves both logics.
+Callers outside `evaluate` bind each row's function once with `domain.op`.
+`quant_unary`/`quant_binary` have no caller; they remain, like the per-call
+`unary`/`binary` of `evaluate`, as names the benchmark's tracer wraps.
 
 A lasso word is the deterministic Kripke structure with one successor per
 suffix class, so its EX is X: one right shift within the words, plus one

@@ -45,8 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from .formulas import (
-    ALWAYS, AND, EVENTUALLY, IFF, IMPLIES, NEXT, NOT, OR, RELEASE,
-    STRONG_RELEASE, UNTIL, WEAK_UNTIL,
+    AND, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
     BINARY_OPS, LOGICAL_BINARY_OPS, QUANTIFIERS, TEMPORAL_BINARY_OPS,
     TEMPORAL_UNARY_OPS, UNARY_OPS,
     CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, Formula, LtlBinary,
@@ -161,15 +160,16 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
     formulas = list(enumerate_formulas(props, max_size))
     vectors = [dom.evaluate(f) for f in formulas]
 
+    # The checker's own row functions, looked up once for the loops.
+    unary = [(op, dom.op(op)) for op in TEMPORAL_UNARY_OPS]
     checked = 0
     for f, a in zip(formulas, vectors):
         checked += 1
-        for op in (NEXT, EVENTUALLY, ALWAYS):
-            if dom.unary(op, a) != a:
+        for op, fn in unary:
+            if fn(a) != a:
                 bad.add(f"{op} {print_formula(f)} differs from its operand "
                         "on a constant word")
 
-    # The checker's own row functions, looked up once for the pair loops.
     until, release, weak_until, strong_release = (
         dom.op(op) for op in TEMPORAL_BINARY_OPS)
     disjunction, conjunction = dom.op(OR), dom.op(AND)
@@ -213,8 +213,8 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
     table_checked = 0
     for a in range(full + 1):
         table_checked += 1
-        for op in (NEXT, EVENTUALLY, ALWAYS):
-            if dom.unary(op, a) != a:
+        for op, fn in unary:
+            if fn(a) != a:
                 bad.add(f"{op} changes signature {a:0{n_bits}b}")
         for b in range(full + 1):
             if until(a, b) != b or release(a, b) != b:
@@ -244,7 +244,7 @@ class _TemporalFreeUniverse:
     """
 
     def __init__(self, domain, props):
-        self.domain = domain
+        self._fns = {op: domain.op(op) for op in (NOT, *LOGICAL_BINARY_OPS)}
         self.sigs = []
         self.closures = []
         self.builds = []  # (None, name, -1) | (op, a, -1) | (op, a, b)
@@ -266,12 +266,11 @@ class _TemporalFreeUniverse:
         key = (op, a, b)
         nid = self._index.get(key)
         if nid is None:
-            sigs, closures = self.sigs, self.closures
+            sigs, closures, fn = self.sigs, self.closures, self._fns[op]
             if b < 0:
-                nid = self._add(key, self.domain.unary(op, sigs[a]),
-                                closures[a])
+                nid = self._add(key, fn(sigs[a]), closures[a])
             else:
-                nid = self._add(key, self.domain.binary(op, sigs[a], sigs[b]),
+                nid = self._add(key, fn(sigs[a], sigs[b]),
                                 closures[a] | closures[b])
         return nid
 
@@ -534,36 +533,28 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
         check(_random_formula(rng, props, _TRANSFER_SAMPLE_MAX_SIZE,
                               _ctl_unary, _ctl_binary))
 
-    # Operator tables over all signature combinations: every quantified
-    # operator agrees with its quantifier-free counterpart, and the shared
-    # boolean operators agree between the two evaluators.
-    n_bits = len(words)
-    full = (1 << n_bits) - 1
-    table_checked = 0
-    for a in range(full + 1):
-        table_checked += 1
-        if cdom.full ^ a != ldom.unary(NOT, a):
-            bad.add(f"negation differs at signature {a}")
-        for quant in ("E", "A"):
-            for op in (NEXT, EVENTUALLY, ALWAYS):
-                if cdom.quant_unary(quant, op, a) != ldom.unary(op, a):
-                    bad.add(f"{quant}{op} differs at signature {a}")
-        for b in range(full + 1):
-            for op in (AND, OR, IMPLIES, IFF):
-                if cdom.binary(op, a, b) != ldom.binary(op, a, b):
-                    bad.add(f"{op} differs at signatures {a},{b}")
-            for quant in ("E", "A"):
-                for op in (UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE):
-                    if (cdom.quant_binary(quant, op, a, b)
-                            != ldom.binary(op, a, b)):
-                        bad.add(f"{quant}({op}) differs at "
-                                f"signatures {a},{b}")
+    # Every operator row, over all signature combinations, agrees with the
+    # linear-time row of its token.
+    unary_rows, binary_rows = _op_table(CTL, OperatorSet.full(), False)
+    unary = [("negation" if q is None else f"{q}{op}", cdom.op(op, q),
+              ldom.op(op)) for op, q in unary_rows]
+    binary = [(op if q is None else f"{q}({op})", cdom.op(op, q),
+               ldom.op(op)) for op, q in binary_rows]
+    signatures = range(cdom.full + 1)
+    for a in signatures:
+        for name, branching, linear in unary:
+            if branching(a) != linear(a):
+                bad.add(f"{name} differs at signature {a}")
+        for b in signatures:
+            for name, branching, linear in binary:
+                if branching(a, b) != linear(a, b):
+                    bad.add(f"{name} differs at signatures {a},{b}")
 
     return _result("quantifier-transfer", bad, checked + sample_count, start,
                    {"exhaustive_formulas": checked,
                     "literal_max_size": literal_max_size,
                     "sampled_formulas": sample_count,
-                    "signature_combinations": table_checked ** 2})
+                    "signature_combinations": len(signatures) ** 2})
 
 
 _CTL_QUANT_UNARY = tuple((q, op) for q in QUANTIFIERS

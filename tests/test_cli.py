@@ -436,13 +436,16 @@ class TestVerifyProperties:
         (("--suite", "cnf", "--cnf-clauses", "-1", "--cnf-random", "0"),
          "--cnf-clauses"),
         (("--suite", "cnf", "--cnf-random", "-1"), "--cnf-random"),
+        (("--suite", "lasso", "--jobs", "0"), "--jobs"),
+        (("--suite", "cnf", "--jobs", "-1"), "--jobs"),
     ])
     def test_size_validation(self, capsys, argv, option):
-        # Each of these used to crash or to pass having checked nothing.
-        # Counts of CNFs may be 0; sizes and the number of pairs may not.
+        # Each of these used to crash or to pass having checked nothing,
+        # or, for --jobs, to run on one worker.  Counts of CNFs may be 0;
+        # sizes, the number of pairs and of workers may not.
         least = 0 if option in ("--cnf-clauses", "--cnf-random") else 1
-        code, out, err = run(capsys, "verify-properties", *argv,
-                             "--jobs", "1")
+        code, out, err = run(capsys, "verify-properties", "--jobs", "1",
+                             *argv)
         assert code == EXIT_ERROR
         assert out == ""
         assert err == f"error: {option} must be at least {least}\n"

@@ -172,6 +172,40 @@ class TestSampleFiles:
         assert loaded == s
         assert loaded.positives[0].successors("b") == ("a", "b")
 
+    @pytest.mark.parametrize("name", ["a b", ""])
+    def test_unreadable_state_names_are_refused(self, tmp_path, name):
+        # `load_sample` reads a state name as one word of its line.
+        k = KripkeStructure(("s", name), ("s",),
+                            (("s", name), (name, "s")), ([], ["p"]))
+        path = tmp_path / "bad.sample"
+        with pytest.raises(ValueError, match=f"state name {name!r}"):
+            save_sample(Sample(["p"], "ctl", [k], []), path)
+        assert not path.exists()
+
+    def test_random_structures_round_trip(self, tmp_path):
+        # Any one-word name survives, also one that holds the format's
+        # own punctuation.
+        rng = random.Random("save-sample-names")
+        chars = "ab0#{},;:|-é"
+        path = tmp_path / "r.sample"
+        for _ in range(100):
+            names = list({"".join(rng.choices(chars, k=rng.randint(1, 4)))
+                          for _ in range(rng.randint(1, 4))})
+            structures = [KripkeStructure(
+                names, rng.sample(names, rng.randint(1, len(names))),
+                {(s, rng.choice(names)) for s in names},
+                [rng.sample(("p", "q"), rng.randint(0, 2)) for _ in names])
+                for _ in range(2)]
+            if structures[0] == structures[1]:
+                continue
+            s = Sample(["p", "q"], "ctl", structures[:1], structures[1:],
+                       bound=rng.choice((None, 3)))
+            save_sample(s, path)
+            loaded = load_sample(path)
+            assert loaded == s
+            assert [k.states for k in loaded.examples] == \
+                [k.states for k in s.examples]
+
     def test_comments_and_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "c.sample"
         path.write_text(

@@ -2,9 +2,9 @@
 
 import pytest
 
-from templearn import suites
+from templearn import semantics, suites
 from templearn.formulas import (
-    AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
+    ALWAYS, AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
 )
 from templearn.learner import learn
 from templearn.reductions import (
@@ -170,6 +170,27 @@ class TestPlantedFaults:
             "p <-> p vs (p <-> p) & p on letter ['q']",
             "!q vs !q & p on letter []",
             "E X q vs X q & p on letter ['q']",
+        )
+
+    def test_quantifier_transfer_reports_each_wrong_table_row(
+            self, monkeypatch):
+        # One unary and one binary universal row complemented: on one-state
+        # structures each now differs from its token at every signature.
+        # Formulas of size 1 and no samples leave only the closing table to
+        # report.  (An `E F` fault would not show: E and A agree there.)
+        for row in ((ALWAYS, "A"), (WEAK_UNTIL, "A")):
+            right = semantics.OPERATOR_TABLE[row]
+            monkeypatch.setitem(
+                semantics.OPERATOR_TABLE, row,
+                lambda d, right=right: lambda *a: d.full ^ right(d)(*a))
+        result = run_quantifier_transfer(literal_max_size=1, props=("p", "q"),
+                                         sample_count=0)
+        assert (result.checked, result.violation_count) == (2, 16 + 256)
+        assert result.details["signature_combinations"] == 256
+        assert result.violations[:3] == (
+            "AG differs at signature 0",
+            "A(W) differs at signatures 0,0",
+            "A(W) differs at signatures 0,1",
         )
 
     def test_reducts_report_each_wrong_word(self, monkeypatch):

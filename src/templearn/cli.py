@@ -311,6 +311,13 @@ def _cmd_verify_properties(args) -> int:
     props = ("p", "q", "r")[:args.props]
     results = []
 
+    jobs = args.jobs
+    if not args.suite or "cnf" in args.suite:
+        try:  # a bad TEMPLEARN_JOBS fails before any suite runs
+            jobs = suites.resolve_jobs(jobs)
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
+
     def run(enabled, fn, *fn_args, **fn_kwargs):
         if args.suite and enabled not in args.suite:
             return
@@ -328,7 +335,7 @@ def _cmd_verify_properties(args) -> int:
     run("cnf", lambda: suites.run_cnf_round_trip(
         suites.exhaustive_cnfs(args.cnf_variables, args.cnf_clauses)
         + suites.random_cnfs(args.cnf_random, seed=args.seed),
-        jobs=args.jobs))
+        jobs=jobs))
     run("lasso", suites.run_lasso_oracle_equivalence,
         pairs=args.pairs, seed=args.seed, props=props[:2] or ("p",))
 

@@ -2,32 +2,36 @@
 
 All sub-formula values are bit vectors (Python ints) with one bit per
 position: a suffix class of an ultimately periodic word, or a state of a
-structure.  Both domains share one trusted core: each supplies its pre-image
-EX, and EU and EG are the least and greatest fixpoints over it, iterated on
-whole vectors.  One operator table, keyed by `(token, quantifier)` rows,
-rewrites every operator to these three through its defining identity; the
-checkers and the learner both take their vector functions from it.  Every
-operator node carries its row, so one `evaluate` serves both logics.
-Callers outside `evaluate` bind each row's function once with `domain.op`.
-`quant_unary`/`quant_binary` have no caller; they remain, like the per-call
-`unary`/`binary` of `evaluate`, as names the benchmark's tracer wraps.
+structure.  Both domains share one trusted core: the pre-image EX, and EU
+and EG, its least and greatest fixpoints, iterated on whole vectors; a
+domain supplies only the successor masks that EX reads.  One operator
+table, keyed by `(token, quantifier)` rows, rewrites every operator to
+these three through its defining identity; the checkers and the learner
+both take their vector functions from it.  Every operator node carries its
+row, so one `evaluate` serves both logics.  Callers outside `evaluate`
+bind each row's function once with `domain.op`.  `quant_unary` and
+`quant_binary` have no caller; they remain, like the per-call `unary` and
+`binary` of `evaluate`, as names the benchmark's tracer wraps.
 
 A lasso word is the deterministic Kripke structure with one successor per
-suffix class, so its EX is X: one right shift within the words, plus one
-left shift per distinct period length that carries each loop start onto the
-last class of its word.  On a deterministic structure E and A agree, so an
-LTL row is the CTL row of the same token.  For structures, EX labels the
-states that have a successor in the argument.
+suffix class, so one EX serves both logics, and on a deterministic
+structure E and A agree, so an LTL row is the CTL row of the same token.
+EX groups the edges by the bit offset from a position to its successor
+and keeps, per offset, the mask of the successors: `_next` for successors
+one bit up, `_down` for successors `d >= 2` bits up and `_up` for
+successors `d >= 0` bits down (0 is a self-loop), each named for the way
+its terms shift.  EX is one AND and one shift per offset on the whole
+vector.  On a lasso `_next` is every class except each word's first, and
+`_up` holds the loop starts, one mask per period length; on structures
+each edge adds its target to the mask of its offset.
 
 `domain.lanes(k)` runs every row over `k` vectors at once, packed side by
 side into one int in lanes of `W` bits, `W` the domain's size rounded up to
 whole bytes.  Every step of a row is bitwise except EX, so a row is exact
-lane by lane as long as EX moves no bit across a lane boundary.  The lasso
-EX keeps that condition: after its right shift it masks off each word's
-last class and the lane's padding bits, where a bit of the next lane
-lands, and its loop-back shifts stay inside their word.  The structure EX
-keeps it because each lane's term is a predecessor mask within one
-structure, below 2^W.
+lane by lane as long as EX moves no bit across a lane boundary.  It does
+not: EX masks before it shifts, and a position in any mask is the
+successor of the position `d` bits away that the shift moves it onto, in
+the same example, so in the same lane.
 """
 
 from __future__ import annotations
@@ -83,11 +87,11 @@ OPERATOR_TABLE.update(
 class _Fixpoints:
     """The fixpoint core that every operator is rewritten to.
 
-    A domain supplies its pre-image `v_ex(a)`, the vector of the positions
-    with a successor in `a`; `EU` and `EG` are then its least and greatest
-    fixpoints, iterated on whole vectors.  It also keeps `letters`, the
-    letter of each position in bit order, which the vector of every
-    proposition reads.
+    A domain supplies the successor masks of its pre-image `v_ex(a)`, the
+    vector of the positions with a successor in `a`; `EU` and `EG` are then
+    its least and greatest fixpoints, iterated on whole vectors.  It also
+    keeps `letters`, the letter of each position in bit order, which the
+    vector of every proposition reads.
     """
 
     def prop_vector(self, name: str) -> int:
@@ -101,6 +105,22 @@ class _Fixpoints:
                     v |= 1 << bit
             self._props[name] = v
         return v
+
+    def v_ex(self, a: int) -> int:
+        """EX a: the positions with a successor in `a`.
+
+        A position in `_next` is the successor of the position one bit
+        down; one in the mask of `_down` or `_up` at `d`, of the position
+        `d` bits down or up.  Each term keeps the successors in `a` and
+        shifts them onto those positions.
+        """
+        r = (a & self._next) >> 1
+        if self._down:  # a lasso has none: skip the empty loop's cost
+            for d, m in self._down:
+                r |= (a & m) >> d
+        for d, m in self._up:
+            r |= (a & m) << d
+        return r
 
     def v_eu(self, a: int, b: int) -> int:
         """E (a U b): the least fixpoint of z = b | (a & EX z)."""
@@ -143,17 +163,18 @@ class _Fixpoints:
 
         `full` and the masks of EX are replicated by the base-2^W repunit
         `((1 << k*W) - 1) // ((1 << W) - 1)`.  Every operator row taken from
-        the view with :meth:`op` then computes the row lane by lane, because
-        EX carries no bit across a lane boundary: what the lasso EX shifts
-        in from the next lane lands on a masked bit, and each lane's term
-        of the structure EX is below 2^W.  Only `op`, `v_ex`, `v_eu` and
-        `v_eg` are meant for a view.
+        the view with :meth:`op` then computes the row lane by lane,
+        because EX shifts only masked positions, each onto its predecessor
+        in its own example and so in its own lane.  Only `op`, `v_ex`,
+        `v_eu` and `v_eg` are meant for a view.
         """
         width = 8 * self.lane_bytes
         rep = ((1 << k * width) - 1) // ((1 << width) - 1)
         view = object.__new__(type(self))  # no `__init__`: nothing is built
-        view.__dict__.update(self.__dict__, full=self.full * rep,
-                             **self._replicated(rep))
+        view.__dict__.update(
+            self.__dict__, full=self.full * rep, _next=self._next * rep,
+            _down=tuple((d, m * rep) for d, m in self._down),
+            _up=tuple((d, m * rep) for d, m in self._up))
         return view
 
     def accepts(self, vector: int, example: int) -> bool:
@@ -210,37 +231,20 @@ class LtlDomain(_Fixpoints):
         self.letters = []
         self._props = {}
         self.starts = []
-        body = 0  # every class except the last one of each word
-        loop_starts: dict = {}  # period length -> loop-start bits
+        nxt = 0
+        up: dict = {}  # period length - 1 -> the loop starts of those words
         for w in words:
             offset = len(self.letters)
             self.starts.append(1 << offset)
-            body |= ((1 << (w.length - 1)) - 1) << offset
-            p = len(w.period)
-            loop_starts[p] = loop_starts.get(p, 0) | 1 << (offset + w.loop_start)
+            nxt |= ((1 << (w.length - 1)) - 1) << (offset + 1)
+            # The loop start is the successor of the last class, period
+            # length - 1 bits down from it.
+            d = len(w.period) - 1
+            up[d] = up.get(d, 0) | 1 << (offset + w.loop_start)
             self.letters += w.prefix + w.period
         self.size = len(self.letters)
         self.full = (1 << self.size) - 1
-        self._body = body
-        # A loop start shifted by its period length - 1 lands on the last
-        # class of its word, whose successor it is.
-        self._loops = tuple((mask, p - 1) for p, mask in loop_starts.items())
-
-    def _replicated(self, rep: int) -> dict:
-        return {"_body": self._body * rep,
-                "_loops": tuple((mask * rep, shift)
-                                for mask, shift in self._loops)}
-
-    def v_ex(self, a: int) -> int:
-        """X a: a lasso is a Kripke structure with one successor per class.
-
-        The right shift moves each class onto its predecessor; `_body`
-        drops what lands on a word's last class or on lane padding.
-        """
-        r = (a >> 1) & self._body
-        for mask, shift in self._loops:
-            r |= (a & mask) << shift
-        return r
+        self._next, self._down, self._up = nxt, (), tuple(up.items())
 
 
 class CtlDomain(_Fixpoints):
@@ -253,52 +257,23 @@ class CtlDomain(_Fixpoints):
         self.letters = []  # the state labels
         self._props = {}
         self.starts = []
-        # Per structure: its offset, the mask of its states, and the
-        # predecessor mask of each state with a predecessor, both local.
-        self._blocks = []
+        far: dict = {}  # successor offset, negative when below -> mask
         for m in structures:
             offset = len(self.letters)
-            index = {s: i for i, s in enumerate(m.states)}
-            preds = [0] * len(m.states)
+            index = {s: offset + i for i, s in enumerate(m.states)}
             for a, b in m.edges:
-                preds[index[b]] |= 1 << index[a]
-            self._blocks.append((offset, (1 << len(m.states)) - 1,
-                                 [(j, p) for j, p in enumerate(preds) if p]))
+                d = index[b] - index[a]
+                far[d] = far.get(d, 0) | 1 << index[b]
             init = 0
             for s in m.initial:
-                init |= 1 << (offset + index[s])
+                init |= 1 << index[s]
             self.starts.append(init)
             self.letters += m.labels
         self.size = len(self.letters)
         self.full = (1 << self.size) - 1
-        self._rep = 1  # one lane
-
-    def _replicated(self, rep: int) -> dict:
-        return {"_rep": rep,
-                "_blocks": [(offset, mask * rep, preds)
-                            for offset, mask, preds in self._blocks]}
-
-    def v_ex(self, s: int) -> int:
-        """EX s: the union of the predecessor masks of the states in `s`.
-
-        One structure at a time, in lane form: `block` holds the
-        structure's states at the bottom of each lane, `(block >> j) & rep`
-        has bit 0 of each lane set when that lane holds state `j`, and its
-        product with the state's predecessor mask, below 2^W, stays inside
-        the lane.  With one lane `rep` is 1, and shifting one structure's
-        block instead of the whole vector keeps the per-state steps on
-        short ints.
-        """
-        rep = self._rep
-        r = 0
-        for offset, mask, preds in self._blocks:
-            block = (s >> offset) & mask
-            if block:
-                acc = 0
-                for j, pred in preds:
-                    acc |= ((block >> j) & rep) * pred
-                r |= acc << offset
-        return r
+        self._next = far.pop(1, 0)
+        self._down = tuple((d, m) for d, m in far.items() if d > 1)
+        self._up = tuple((-d, m) for d, m in far.items() if d < 1)
 
     def quant_unary(self, quantifier: str, op: str, a: int) -> int:
         return OPERATOR_TABLE[op, quantifier](self)(a)

@@ -663,16 +663,26 @@ def _round_trip_one(cnf):
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker-count default: the TEMPLEARN_JOBS variable, else CPU count."""
+    """Worker-count default: the TEMPLEARN_JOBS variable, else CPU count.
+
+    A count below 1, or a TEMPLEARN_JOBS value that is not an integer of at
+    least 1, raises `ValueError`.
+    """
     if jobs is not None:
-        return max(1, jobs)
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, not {jobs}")
+        return jobs
     env = os.environ.get("TEMPLEARN_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(os.cpu_count() or 1, 8))
+    if not env:
+        return max(1, min(os.cpu_count() or 1, 8))
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0  # refused below, naming the value as it was given
+    if jobs < 1:
+        raise ValueError("TEMPLEARN_JOBS must be an integer of at least 1, "
+                         f"not {env!r}")
+    return jobs
 
 
 def _parallel_map(fn, items, jobs):

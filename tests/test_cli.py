@@ -450,6 +450,20 @@ class TestVerifyProperties:
         assert out == ""
         assert err == f"error: {option} must be at least {least}\n"
 
+    @pytest.mark.parametrize("env", ["abc", "0", "-2"])
+    def test_bad_jobs_variable_is_refused(self, capsys, monkeypatch, env):
+        # TEMPLEARN_JOBS stands in for an unset --jobs, so it is checked as
+        # --jobs is, but only when the CNF suite runs.
+        monkeypatch.setenv("TEMPLEARN_JOBS", env)
+        code, out, err = run(capsys, "verify-properties", "--suite", "cnf",
+                             "--cnf-clauses", "0", "--cnf-random", "1")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == ("error: TEMPLEARN_JOBS must be an integer of at "
+                       f"least 1, not '{env}'\n")
+        code, _, err = run(capsys, "verify-properties", "--suite", "lasso",
+                           "--pairs", "5")
+        assert code == EXIT_OK, err
+
     def test_zero_clauses_is_the_empty_cnf(self, capsys):
         # `--cnf-clauses 0` stays valid: the one CNF with no clauses.
         code, out, err = run(capsys, "verify-properties", "--suite", "cnf",

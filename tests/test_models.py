@@ -172,9 +172,10 @@ class TestSampleFiles:
         assert loaded == s
         assert loaded.positives[0].successors("b") == ("a", "b")
 
-    @pytest.mark.parametrize("name", ["a b", ""])
+    @pytest.mark.parametrize("name", ["a b", "", 0, None])
     def test_unreadable_state_names_are_refused(self, tmp_path, name):
-        # `load_sample` reads a state name as one word of its line.
+        # `load_sample` reads a state name as one word of its line, so as a
+        # string: the name 0 would come back as "0".
         k = KripkeStructure(("s", name), ("s",),
                             (("s", name), (name, "s")), ([], ["p"]))
         path = tmp_path / "bad.sample"

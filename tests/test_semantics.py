@@ -10,7 +10,9 @@ from templearn import (
     satisfaction_vector,
 )
 from templearn.formulas import (
-    QUANTIFIERS, TEMPORAL_BINARY_OPS, TEMPORAL_UNARY_OPS, UNARY_OPS,
+    ALWAYS, AND, CTL, EVENTUALLY, IFF, IMPLIES, LOGICAL_BINARY_OPS, NEXT,
+    NOT, OR, QUANTIFIERS, RELEASE, STRONG_RELEASE, TEMPORAL_BINARY_OPS,
+    TEMPORAL_UNARY_OPS, UNARY_OPS, UNTIL, WEAK_UNTIL, Prop, node_builder,
 )
 from templearn.semantics import (
     OPERATOR_TABLE, CtlDomain, LtlDomain, satisfying_states,
@@ -435,6 +437,129 @@ class TestCtl:
     def test_ltl_formula_is_rejected(self, text):
         with pytest.raises(TypeError, match="not a branching-time formula"):
             check_ctl(parse_ltl(text), two_state())
+
+
+def naive_ctl_states(f, structure):
+    """The states of `structure` that satisfy `f`, from the definitions.
+
+    Each quantified row is the least or greatest fixpoint of its defining
+    step, iterated on sets of state names over successor lists, with `A`
+    rows through "every successor" rather than a dual; nothing here reads
+    `OPERATOR_TABLE` or a domain.  Deliberately simple and slow.
+    """
+    states = frozenset(structure.states)
+    succ = {s: [b for a, b in structure.edges if a == s]
+            for s in structure.states}
+
+    def pre(z, q):  # the states with some (E) or every (A) successor in z
+        test = any if q == "E" else all
+        return frozenset(s for s in states if test(t in z for t in succ[s]))
+
+    def fix(step, least):
+        z = frozenset() if least else states
+        while True:
+            nz = step(z)
+            if nz == z:
+                return z
+            z = nz
+
+    def go(g):
+        if not g.args:
+            return frozenset(s for s, letter in zip(structure.states,
+                                                    structure.labels)
+                             if g.name in letter)
+        q = g.quantifier
+        if len(g.args) == 1:
+            a = go(g.args[0])
+            if g.op == NOT:
+                return states - a
+            if g.op == NEXT:
+                return pre(a, q)
+            if g.op == EVENTUALLY:
+                return fix(lambda z: a | pre(z, q), True)
+            return fix(lambda z: a & pre(z, q), False)  # ALWAYS
+        a, b = go(g.args[0]), go(g.args[1])
+        if g.op == AND:
+            return a & b
+        if g.op == OR:
+            return a | b
+        if g.op == IMPLIES:
+            return (states - a) | b
+        if g.op == IFF:
+            return states - (a ^ b)
+        if g.op == UNTIL:
+            return fix(lambda z: b | (a & pre(z, q)), True)
+        if g.op == WEAK_UNTIL:
+            return fix(lambda z: b | (a & pre(z, q)), False)
+        if g.op == RELEASE:
+            return fix(lambda z: b & (a | pre(z, q)), False)
+        assert g.op == STRONG_RELEASE
+        return fix(lambda z: b & (a | pre(z, q)), True)
+
+    return go(f)
+
+
+# The 19 rows of CTL: the boolean connectives and both quantifiers of each
+# temporal operator.
+CTL_ROWS = ([(NOT, None)] + [(op, None) for op in LOGICAL_BINARY_OPS]
+            + [(op, q) for op in TEMPORAL_UNARY_OPS + TEMPORAL_BINARY_OPS
+               for q in QUANTIFIERS])
+
+
+def random_ctl(rng, props, budget):
+    if budget <= 1 or rng.random() < 0.3:
+        return Prop(rng.choice(props))
+    token, q = rng.choice(CTL_ROWS)
+    build = node_builder(CTL, token, q)
+    if token in UNARY_OPS:
+        return build(random_ctl(rng, props, budget - 1))
+    split = rng.randint(1, budget - 2) if budget > 2 else 1
+    return build(random_ctl(rng, props, split),
+                 random_ctl(rng, props, budget - 1 - split))
+
+
+class TestCtlReference:
+    """The CTL checker agrees with `naive_ctl_states` on every row, on
+    structures whose successors lie above, below and on a state."""
+
+    def test_every_row_on_random_structures(self):
+        assert len(CTL_ROWS) == 19
+        rng = random.Random(37)
+        offsets = set()  # successor offsets seen: -1 below, 0, 1, 2 above
+        several_initial = 0
+        for n in list(range(1, 17)) * 8:
+            m = random_structure(rng, ["p", "q"], n)
+            index = {s: i for i, s in enumerate(m.states)}
+            offsets |= {max(-1, min(2, index[b] - index[a]))
+                        for a, b in m.edges}
+            several_initial += len(m.initial) > 1
+            for token, q in CTL_ROWS:
+                f = node_builder(CTL, token, q)(*(
+                    random_ctl(rng, ["p", "q"], 3)
+                    for _ in range(1 if token in UNARY_OPS else 2)))
+                want = naive_ctl_states(f, m)
+                assert satisfying_states(f, m) == want, (str(f), n)
+                assert check_ctl(f, m) == (m.initial <= want), (str(f), n)
+        assert offsets == {-1, 0, 1, 2}
+        assert several_initial
+
+    def test_multi_structure_domains(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            structures = [random_structure(rng, ["p", "q"], rng.randint(1, 8))
+                          for _ in range(rng.randint(1, 4))]
+            domain = CtlDomain(structures)
+            for _ in range(5):
+                f = random_ctl(rng, ["p", "q"], 6)
+                v = domain.evaluate(f)
+                off = 0
+                for k, m in enumerate(structures):
+                    want = naive_ctl_states(f, m)
+                    got = frozenset(s for i, s in enumerate(m.states)
+                                    if v >> (off + i) & 1)
+                    assert got == want, (str(f), k)
+                    assert domain.accepts(v, k) == (m.initial <= want)
+                    off += len(m.states)
 
 
 class TestCheckSeparating:

@@ -67,10 +67,20 @@ class TestGenerators:
 
     def test_resolve_jobs(self, monkeypatch):
         assert resolve_jobs(3) == 3
-        assert resolve_jobs(0) == 1
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                resolve_jobs(jobs)
         monkeypatch.setenv("TEMPLEARN_JOBS", "2")
         assert resolve_jobs() == 2
-        monkeypatch.setenv("TEMPLEARN_JOBS", "junk")
+        for env in ("junk", "0", "-1", "1.5"):
+            monkeypatch.setenv("TEMPLEARN_JOBS", env)
+            with pytest.raises(ValueError, match=(
+                    "TEMPLEARN_JOBS must be an integer of at least 1, "
+                    f"not '{env}'")):
+                resolve_jobs()
+        monkeypatch.setenv("TEMPLEARN_JOBS", "")
+        assert resolve_jobs() >= 1
+        monkeypatch.delenv("TEMPLEARN_JOBS")
         assert resolve_jobs() >= 1
 
 

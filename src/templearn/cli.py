@@ -3,9 +3,13 @@
 Subcommands: ``check``, ``learn``, ``reduce sat2ltl``, ``reduce ltl2ctl``,
 ``normalize``, ``translate``, ``extract``, ``verify-properties``.
 
-Exit codes: 0 success; 1 domain error (unreadable/invalid input); 2 usage
-error; 3 ``learn`` found no formula within the bound (a proof that none
-exists only with ``--no-dedup``); 4 a property suite failed.
+Exit codes: 0 success; 1 input error; 2 usage error; 3 ``learn`` found no
+formula within the bound (a proof that none exists only with
+``--no-dedup``); 4 a property suite failed.
+
+Commands raise and :func:`main` reports: it alone turns a ``ValueError``
+(every input error the package raises) or an ``OSError`` into exit 1 with
+a single ``error:`` line.
 
 Every command supports ``--json``, which emits one JSON report with stable
 key order.  Timing lives under the separate ``"timing"`` key (and in
@@ -29,11 +33,10 @@ from .learner import (
     BoundMode, DedupMode, LearnConfig, _resolve_bound, learn, verify,
 )
 from .models import (
-    CTL, LTL, Sample, load_sample, save_sample, word_to_text,
+    CTL, LTL, load_sample, save_sample, word_to_text,
 )
 from .reductions import (
-    ExtractionError, extract_valuation, parse_dimacs, reduce_ltl_to_ctl,
-    reduce_sat,
+    extract_valuation, parse_dimacs, reduce_ltl_to_ctl, reduce_sat,
 )
 from .semantics import check_separating, check_ctl, check_ltl
 from .transforms import insert_quantifiers, strip_quantifiers, temporal_eliminate
@@ -46,10 +49,6 @@ EXIT_NO_FORMULA = 3
 EXIT_PROPERTY_FAILURE = 4
 
 
-class _CliError(Exception):
-    """A domain error with a user-facing message (exit code 1)."""
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -57,35 +56,26 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load_sample(path: str) -> Sample:
-    try:
-        return load_sample(path)
-    except ValueError as exc:  # includes SampleFormatError
-        raise _CliError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
-
-
 def _load_cnf(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_dimacs(handle.read())
+
+
+def _load(load, path: str):
+    """`load(path)`, naming `path` in the message of an error it raises."""
     try:
-        return parse_dimacs(_read_text(path))
-    except ValueError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        return load(path)
+    except ValueError as exc:  # includes SampleFormatError
+        raise ValueError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _parse_formula(text: str, logic: str):
     try:
         return parse_ltl(text) if logic == LTL else parse_ctl(text)
     except FormulaSyntaxError as exc:
-        raise _CliError(f"cannot parse formula: {exc}") from exc
+        raise ValueError(f"cannot parse formula: {exc}") from exc
 
 
 class _Report:
@@ -137,7 +127,7 @@ def _text_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    sample = _load_sample(args.sample)
+    sample = _load(load_sample, args.sample)
     formula = _parse_formula(args.formula, sample.logic)
     report = _Report("check", args.json)
     report.input_file("sample", args.sample)
@@ -155,10 +145,7 @@ def _cmd_check(args) -> int:
             verdicts[key].append(value)
             label = word_to_text(example) if ltl else f"structure[{i}]"
             report.line(f"{kind} {label}: {_text_value(value)}")
-    try:
-        separating = check_separating(formula, sample)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    separating = check_separating(formula, sample)
     if separating != ok:
         raise RuntimeError("internal error: the per-example verdicts "
                            "disagree with the separation check")
@@ -180,19 +167,16 @@ def _learn_config(args) -> LearnConfig:
 
 
 def _cmd_learn(args) -> int:
-    sample = _load_sample(args.sample)
-    try:
-        config = _learn_config(args)
-        bound = _resolve_bound(sample, config)
-        if bound > config.bound_limit:
-            raise ValueError(
-                f"bound {bound} exceeds the command line's cap of "
-                f"{config.bound_limit}; the search is exponential in the "
-                f"bound, and only the library can raise the cap "
-                f"(LearnConfig.bound_limit)")
-        outcome = learn(sample, config)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    sample = _load(load_sample, args.sample)
+    config = _learn_config(args)
+    bound = _resolve_bound(sample, config)
+    if bound > config.bound_limit:
+        raise ValueError(
+            f"bound {bound} exceeds the command line's cap of "
+            f"{config.bound_limit}; the search is exponential in the bound, "
+            f"and only the library can raise the cap "
+            f"(LearnConfig.bound_limit)")
+    outcome = learn(sample, config)
     report = _Report("learn", args.json)
     report.input_file("sample", args.sample)
     report.input_value("bound", bound)
@@ -219,19 +203,16 @@ def _cmd_reduce(args) -> int:
     report = _Report(f"reduce {args.direction}", args.json)
     if args.direction == "sat2ltl":
         if not args.cnf:
-            raise _CliError("reduce sat2ltl requires --cnf")
-        cnf = _load_cnf(args.cnf)
+            raise ValueError("reduce sat2ltl requires --cnf")
+        cnf = _load(_load_cnf, args.cnf)
         report.input_file("cnf", args.cnf)
         sample = reduce_sat(cnf)
     else:
         if not args.sample:
-            raise _CliError("reduce ltl2ctl requires --sample")
-        base = _load_sample(args.sample)
+            raise ValueError("reduce ltl2ctl requires --sample")
+        base = _load(load_sample, args.sample)
         report.input_file("sample", args.sample)
-        try:
-            sample = reduce_ltl_to_ctl(base)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        sample = reduce_ltl_to_ctl(base)
     save_sample(sample, args.out)
     report.field("out", args.out, f"wrote {args.out}")
     report.field("alphabet_size", len(sample.alphabet))
@@ -243,11 +224,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    formula = _parse_formula(args.formula, LTL)
-    try:
-        image = temporal_eliminate(formula)
-    except TypeError as exc:
-        raise _CliError(str(exc)) from exc
+    image = temporal_eliminate(_parse_formula(args.formula, LTL))
     report = _Report("normalize", args.json)
     report.input_value("formula", args.formula)
     report.field("result", print_formula(image),
@@ -274,23 +251,20 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cnf = _load_cnf(args.cnf)
+    cnf = _load(_load_cnf, args.cnf)
     formula = _parse_formula(args.formula, LTL)
     report = _Report("extract", args.json)
     report.input_file("cnf", args.cnf)
     report.input_value("formula", args.formula)
     if args.sample:
-        sample = _load_sample(args.sample)
+        sample = _load(load_sample, args.sample)
         report.input_file("sample", args.sample)
-        try:
-            if not check_separating(formula, sample):
-                raise _CliError("formula does not separate the sample")
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        if not check_separating(formula, sample):
+            raise ValueError("formula does not separate the sample")
     try:
         valuation = extract_valuation(formula, cnf)
-    except (ExtractionError, RuntimeError) as exc:
-        raise _CliError(str(exc)) from exc
+    except RuntimeError as exc:  # reported like an input error
+        raise ValueError(str(exc)) from exc
     text = " ".join(f"x{k}={1 if valuation[k] else 0}"
                     for k in sorted(valuation))
     report.field("valuation",
@@ -301,22 +275,20 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify_properties(args) -> int:
     if args.props < 1 or args.props > 3:
-        raise _CliError("--props must be between 1 and 3")
+        raise ValueError("--props must be between 1 and 3")
     for name, least in (("max_size", 1), ("cnf_variables", 1), ("pairs", 1),
                         ("cnf_clauses", 0), ("cnf_random", 0), ("jobs", 1)):
         value = getattr(args, name)
         if value is not None and value < least:  # an unset --jobs is None
-            raise _CliError(
+            raise ValueError(
                 f"--{name.replace('_', '-')} must be at least {least}")
     props = ("p", "q", "r")[:args.props]
     results = []
 
     jobs = args.jobs
     if not args.suite or "cnf" in args.suite:
-        try:  # a bad TEMPLEARN_JOBS fails before any suite runs
-            jobs = suites.resolve_jobs(jobs)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        # A bad TEMPLEARN_JOBS fails before any suite runs.
+        jobs = suites.resolve_jobs(jobs)
 
     def run(enabled, fn, *fn_args, **fn_kwargs):
         if args.suite and enabled not in args.suite:
@@ -467,7 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_CliError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

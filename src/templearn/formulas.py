@@ -315,7 +315,7 @@ class OperatorSet:
     @classmethod
     def from_names(cls, names) -> "OperatorSet":
         """Build a set from operator tokens (`|`, `!`, `U`) or spelled-out
-        names (`OR`, `NOT`, `E`)."""
+        names (`OR`, `NOT`, `E`).  Naming no quantifier allows both."""
         all_ops = set(UNARY_OPS) | set(BINARY_OPS) | set(QUANTIFIERS)
         unary, binary, quantifiers = set(), set(), set()
         for raw in names:
@@ -334,7 +334,7 @@ class OperatorSet:
                 binary.add(op)
             else:
                 quantifiers.add(op)
-        return cls(frozenset(unary), frozenset(binary), frozenset(quantifiers))
+        return cls(unary, binary, quantifiers or QUANTIFIERS)
 
 
 def conforms(f: Formula, operators: OperatorSet) -> bool:

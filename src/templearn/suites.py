@@ -43,6 +43,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from operator import and_, or_
 
 from .formulas import (
     AND, NOT, OR, RELEASE, STRONG_RELEASE, UNTIL, WEAK_UNTIL,
@@ -136,6 +137,20 @@ def constant_structures(props=("p", "q")) -> tuple:
 # Single-letter reduct identities
 # ---------------------------------------------------------------------------
 
+# One row per binary identity: the operator, its reduct as a vector function
+# and as a formula, the reduct's name in the pair pass's messages, and the
+# label under which the signature closure reports it.  Every unary temporal
+# operator reduces to its operand.
+_BINARY_REDUCTS = (
+    (UNTIL, lambda a, b: b, lambda l, r: r, "its right operand", "U/R"),
+    (RELEASE, lambda a, b: b, lambda l, r: r, "its right operand", "U/R"),
+    (WEAK_UNTIL, or_, lambda l, r: LtlBinary(OR, l, r), "the disjunction",
+     "W"),
+    (STRONG_RELEASE, and_, lambda l, r: LtlBinary(AND, l, r),
+     "the conjunction", "M"),
+)
+
+
 def run_reduct_identities(max_size: int = 3, props=("p", "q"),
                           sample_count: int = 5000, seed: int = 0
                           ) -> SuiteResult:
@@ -143,64 +158,54 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
 
     For every operand formula (or pair) up to `max_size`, on every constant
     word: X/F/G leave the operand's truth unchanged, U and R reduce to the
-    right operand, W to the disjunction and M to the conjunction.  Operands
-    are evaluated once; the compound values are produced by the same vector
-    operations the checker itself applies at a compound node, and a seeded
-    random sample of compound formulas is re-checked end to end, each
-    compound and its reduct evaluated on the domain of all constant words,
-    to pin the two routes together.  A final pass checks the
-    same identities for *every* signature bit-vector combination, covering
-    operands of arbitrary size.
+    right operand, W to the disjunction and M to the conjunction.  Each
+    identity is evaluated once, with the checker's own row, at every
+    signature (pair) over the constant words; that closes the family under
+    composition at all sizes, and each operand formula (or pair) is checked
+    by looking its signatures up among the broken ones.  A seeded random
+    sample of compound formulas is re-checked end to end, each compound and
+    its reduct evaluated on the domain of all constant words, to pin the
+    two routes together.
     """
     start = time.time()
     words = constant_words(props)
     dom = LtlDomain(words)
     bad = _Violations()
+    n_bits = len(words)
+    sigs = range(1 << n_bits)
+    unary = [(op, {a for a in sigs if dom.op(op)(a) != a})
+             for op in TEMPORAL_UNARY_OPS]
+    binary = [(op, noun, label, {(a, b) for a in sigs for b in sigs
+                                 if dom.op(op)(a, b) != reduct(a, b)})
+              for op, reduct, _, noun, label in _BINARY_REDUCTS]
 
     formulas = list(enumerate_formulas(props, max_size))
     vectors = [dom.evaluate(f) for f in formulas]
-
-    # The checker's own row functions, looked up once for the loops.
-    unary = [(op, dom.op(op)) for op in TEMPORAL_UNARY_OPS]
-    checked = 0
     for f, a in zip(formulas, vectors):
-        checked += 1
-        for op, fn in unary:
-            if fn(a) != a:
+        for op, broken in unary:
+            if a in broken:
                 bad.add(f"{op} {print_formula(f)} differs from its operand "
                         "on a constant word")
 
-    until, release, weak_until, strong_release = (
-        dom.op(op) for op in TEMPORAL_BINARY_OPS)
-    disjunction, conjunction = dom.op(OR), dom.op(AND)
-    pair_checked = 0
-    for (f1, a), (f2, b) in itertools.product(zip(formulas, vectors),
-                                              repeat=2):
-        pair_checked += 1
-        if until(a, b) != b:
-            bad.add(f"({print_formula(f1)}) U ({print_formula(f2)}) differs "
-                    "from its right operand on a constant word")
-        if release(a, b) != b:
-            bad.add(f"({print_formula(f1)}) R ({print_formula(f2)}) differs "
-                    "from its right operand on a constant word")
-        if weak_until(a, b) != disjunction(a, b):
-            bad.add(f"({print_formula(f1)}) W ({print_formula(f2)}) differs "
-                    "from the disjunction on a constant word")
-        if strong_release(a, b) != conjunction(a, b):
-            bad.add(f"({print_formula(f1)}) M ({print_formula(f2)}) differs "
-                    "from the conjunction on a constant word")
+    lefts = {a for *_, broken in binary for a, _ in broken}
+    for f1, a in zip(formulas, vectors):
+        if a not in lefts:
+            continue
+        for f2, b in zip(formulas, vectors):
+            for op, noun, _, broken in binary:
+                if (a, b) in broken:
+                    bad.add(f"({print_formula(f1)}) {op} ({print_formula(f2)})"
+                            f" differs from {noun} on a constant word")
 
     # End-to-end re-check of a random sample of compound formulas.
     rng = random.Random(seed)
-    reducts = {UNTIL: lambda l, r: r, RELEASE: lambda l, r: r,
-               WEAK_UNTIL: lambda l, r: LtlBinary(OR, l, r),
-               STRONG_RELEASE: lambda l, r: LtlBinary(AND, l, r)}
+    builders = {op: build for op, _, build, *_ in _BINARY_REDUCTS}
     for _ in range(sample_count):
         f1 = rng.choice(formulas)
         f2 = rng.choice(formulas)
-        op = rng.choice((UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
+        op = rng.choice(tuple(builders))
         compound = LtlBinary(op, f1, f2)
-        reduct = reducts[op](f1, f2)
+        reduct = builders[op](f1, f2)
         diff = dom.evaluate(compound) ^ dom.evaluate(reduct)
         for i, w in enumerate(words):
             if diff >> i & 1:
@@ -208,27 +213,21 @@ def run_reduct_identities(max_size: int = 3, props=("p", "q"),
                         f"{print_formula(reduct)} on {w}")
 
     # Closure over every signature combination (operands of any size).
-    n_bits = len(words)
-    full = (1 << n_bits) - 1
-    table_checked = 0
-    for a in range(full + 1):
-        table_checked += 1
-        for op, fn in unary:
-            if fn(a) != a:
+    for a in sigs:
+        for op, broken in unary:
+            if a in broken:
                 bad.add(f"{op} changes signature {a:0{n_bits}b}")
-        for b in range(full + 1):
-            if until(a, b) != b or release(a, b) != b:
-                bad.add(f"U/R reduct fails at signatures {a},{b}")
-            if weak_until(a, b) != (a | b):
-                bad.add(f"W reduct fails at signatures {a},{b}")
-            if strong_release(a, b) != (a & b):
-                bad.add(f"M reduct fails at signatures {a},{b}")
+        for b in sigs:
+            for label in dict.fromkeys(label for _, _, label, broken in binary
+                                       if (a, b) in broken):
+                bad.add(f"{label} reduct fails at signatures {a},{b}")
 
+    checked = len(formulas)
     return _result("single-letter-reducts", bad,
-                   checked + pair_checked + sample_count, start,
-                   {"operands": checked, "operand_pairs": pair_checked,
+                   checked + checked ** 2 + sample_count, start,
+                   {"operands": checked, "operand_pairs": checked ** 2,
                     "sampled_compounds": sample_count,
-                    "signature_combinations": table_checked ** 2})
+                    "signature_combinations": len(sigs) ** 2})
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,13 @@ def ctl_sample_file(tmp_path):
 
 
 @pytest.fixture
+def zero_cnf_file(tmp_path):
+    path = tmp_path / "zero.cnf"
+    path.write_text("p cnf 0 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def cnf_file(tmp_path):
     path = tmp_path / "tiny.cnf"
     path.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
@@ -165,6 +172,21 @@ class TestLearn:
         assert code == EXIT_OK
         data = [l for l in out.splitlines() if l.startswith("witness:")]
         assert data == ["witness: p | q"]
+
+    @pytest.mark.parametrize("dedup", [(), ("--no-dedup",)])
+    def test_operator_restriction_keeps_both_quantifiers(
+            self, capsys, tmp_path, dedup):
+        # Naming no path quantifier allows both, so `E X p` is in reach.
+        path = tmp_path / "next.sample"
+        path.write_text(
+            "alphabet: p\nlogic: ctl\n"
+            "pos-kripke:\nstate a {}\nstate b {p}\ninit a\nedge a b\n"
+            "edge b b\nend\n"
+            "neg-kripke:\nstate a {}\ninit a\nedge a a\nend\n")
+        code, out, _ = run(capsys, "learn", "--sample", str(path),
+                           "--bound", "2", "--ops", "X", *dedup)
+        assert code == EXIT_OK
+        assert "witness: E X p" in out and "size: 2" in out
 
     def test_exactly_mode(self, capsys, sample_file):
         code, out, _ = run(capsys, "learn", "--sample", sample_file,
@@ -321,6 +343,15 @@ class TestReduce:
                            "--out", str(tmp_path / "x.sample"))
         assert code == EXIT_ERROR and "requires --sample" in err
 
+    def test_sat2ltl_refuses_zero_variables(self, capsys, tmp_path,
+                                            zero_cnf_file):
+        out_path = tmp_path / "z.sample"
+        code, out, err = run(capsys, "reduce", "sat2ltl", "--cnf",
+                             zero_cnf_file, "--out", str(out_path))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the reduction needs at least one variable\n"
+        assert not out_path.exists()
+
     def test_bad_direction_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["reduce", "nowhere", "--out", str(tmp_path / "x")])
@@ -391,6 +422,20 @@ class TestExtract:
         code, _, err = run(capsys, "extract", "--cnf", cnf_file,
                            "--formula", "x1 & x2_bar")
         assert code == EXIT_ERROR and "separate" in err
+
+    def test_extract_refuses_a_proposition_outside_the_alphabet(
+            self, capsys, example1_cnf_file):
+        code, out, err = run(capsys, "extract", "--formula", "y", "--cnf",
+                             str(example1_cnf_file))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == ("error: formula uses 'y' outside the sample "
+                       "alphabet\n")
+
+    def test_extract_refuses_zero_variables(self, capsys, zero_cnf_file):
+        code, out, err = run(capsys, "extract", "--formula", "x1", "--cnf",
+                             zero_cnf_file)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: the reduction needs at least one variable\n"
 
 
 class TestVerifyProperties:

@@ -200,6 +200,10 @@ class TestOperatorSet:
         assert "|" in ops.binary and "!" in ops.unary
         assert "U" in ops.binary and "E" in ops.quantifiers
 
+    def test_from_names_allows_both_quantifiers_unless_one_is_named(self):
+        assert OperatorSet.from_names(["X"]).quantifiers == {"E", "A"}
+        assert OperatorSet.from_names(["F", "G", "E"]).quantifiers == {"E"}
+
     def test_from_names_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown operator"):
             OperatorSet.from_names(["XOR"])

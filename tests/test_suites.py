@@ -4,7 +4,7 @@ import pytest
 
 from templearn import semantics, suites
 from templearn.formulas import (
-    ALWAYS, AND, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
+    ALWAYS, AND, NEXT, NOT, WEAK_UNTIL, LtlBinary, Prop, size,
 )
 from templearn.learner import learn
 from templearn.reductions import (
@@ -220,6 +220,25 @@ class TestPlantedFaults:
             "(p -> p) M X q vs (p -> p) & X q & p on | {q}",
             "(q U q) M q M q vs q U q & q M q & p on | {q}",
         )
+
+    @pytest.mark.parametrize("token, expected, first", [
+        (WEAK_UNTIL, 1140,
+         "(p) W (p) differs from the disjunction on a constant word"),
+        (NEXT, 42, "X p differs from its operand on a constant word"),
+    ])
+    def test_reducts_report_each_wrong_table_row(self, monkeypatch, token,
+                                                 expected, first):
+        # A complemented linear-time row breaks its identity at some
+        # signatures: the operand or pair pass names each formula there,
+        # and the samples and the closing table report it again.
+        right = semantics.OPERATOR_TABLE[token, None]
+        monkeypatch.setitem(
+            semantics.OPERATOR_TABLE, (token, None),
+            lambda d: lambda *a: d.full ^ right(d)(*a))
+        result = run_reduct_identities(max_size=2, props=("p", "q"),
+                                       sample_count=200, seed=3)
+        assert (result.checked, result.violation_count) == (902, expected)
+        assert result.violations[0] == first
 
     def test_formula_sweep_reports_each_wrong_image(self, monkeypatch):
         # `temporal_eliminate` reads the same table, so the cross-check

@@ -33,7 +33,7 @@ from .learner import (
     BoundMode, DedupMode, LearnConfig, _resolve_bound, learn, verify,
 )
 from .models import (
-    CTL, LTL, load_sample, save_sample, word_to_text,
+    CTL, LTL, parse_sample, save_sample, word_to_text,
 )
 from .reductions import (
     extract_valuation, parse_dimacs, reduce_ltl_to_ctl, reduce_sat,
@@ -47,28 +47,6 @@ EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_NO_FORMULA = 3
 EXIT_PROPERTY_FAILURE = 4
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
-
-
-def _load_cnf(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_dimacs(handle.read())
-
-
-def _load(load, path: str):
-    """`load(path)`, naming `path` in the message of an error it raises."""
-    try:
-        return load(path)
-    except ValueError as exc:  # includes SampleFormatError
-        raise ValueError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _parse_formula(text: str, logic: str):
@@ -88,8 +66,21 @@ class _Report:
         self.timing = {}
         self.lines = []
 
-    def input_file(self, name: str, path: str):
-        self.data["inputs"][name] = {"path": path, "sha256": _sha256(path)}
+    def input_file(self, name: str, path: str, parse):
+        """`parse` of the UTF-8 text of the file at `path`, read once;
+        records the path and the SHA-256 of the bytes that were parsed,
+        and names the path in the message of an error."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            raise OSError(f"cannot read {path}: {exc.strerror}") from exc
+        self.data["inputs"][name] = {
+            "path": path, "sha256": hashlib.sha256(data).hexdigest()}
+        try:
+            return parse(data.decode("utf-8"))
+        except ValueError as exc:  # includes SampleFormatError
+            raise ValueError(f"{path}: {exc}") from exc
 
     def input_value(self, name: str, value):
         self.data["inputs"][name] = value
@@ -127,10 +118,9 @@ def _text_value(value) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    sample = _load(load_sample, args.sample)
-    formula = _parse_formula(args.formula, sample.logic)
     report = _Report("check", args.json)
-    report.input_file("sample", args.sample)
+    sample = report.input_file("sample", args.sample, parse_sample)
+    formula = _parse_formula(args.formula, sample.logic)
     report.input_value("formula", args.formula)
 
     ltl = sample.logic == LTL
@@ -167,7 +157,8 @@ def _learn_config(args) -> LearnConfig:
 
 
 def _cmd_learn(args) -> int:
-    sample = _load(load_sample, args.sample)
+    report = _Report("learn", args.json)
+    sample = report.input_file("sample", args.sample, parse_sample)
     config = _learn_config(args)
     bound = _resolve_bound(sample, config)
     if bound > config.bound_limit:
@@ -177,8 +168,6 @@ def _cmd_learn(args) -> int:
             f"and only the library can raise the cap "
             f"(LearnConfig.bound_limit)")
     outcome = learn(sample, config)
-    report = _Report("learn", args.json)
-    report.input_file("sample", args.sample)
     report.input_value("bound", bound)
     report.input_value("bound_mode", config.bound_mode.value)
     report.input_value("dedup", config.dedup.value)
@@ -204,16 +193,16 @@ def _cmd_reduce(args) -> int:
     if args.direction == "sat2ltl":
         if not args.cnf:
             raise ValueError("reduce sat2ltl requires --cnf")
-        cnf = _load(_load_cnf, args.cnf)
-        report.input_file("cnf", args.cnf)
-        sample = reduce_sat(cnf)
+        sample = reduce_sat(report.input_file("cnf", args.cnf, parse_dimacs))
     else:
         if not args.sample:
             raise ValueError("reduce ltl2ctl requires --sample")
-        base = _load(load_sample, args.sample)
-        report.input_file("sample", args.sample)
-        sample = reduce_ltl_to_ctl(base)
-    save_sample(sample, args.out)
+        sample = reduce_ltl_to_ctl(
+            report.input_file("sample", args.sample, parse_sample))
+    try:
+        save_sample(sample, args.out)
+    except OSError as exc:
+        raise OSError(f"cannot write {args.out}: {exc.strerror}") from exc
     report.field("out", args.out, f"wrote {args.out}")
     report.field("alphabet_size", len(sample.alphabet))
     report.field("positives", len(sample.positives))
@@ -251,14 +240,12 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cnf = _load(_load_cnf, args.cnf)
-    formula = _parse_formula(args.formula, LTL)
     report = _Report("extract", args.json)
-    report.input_file("cnf", args.cnf)
+    cnf = report.input_file("cnf", args.cnf, parse_dimacs)
+    formula = _parse_formula(args.formula, LTL)
     report.input_value("formula", args.formula)
     if args.sample:
-        sample = _load(load_sample, args.sample)
-        report.input_file("sample", args.sample)
+        sample = report.input_file("sample", args.sample, parse_sample)
         if not check_separating(formula, sample):
             raise ValueError("formula does not separate the sample")
     try:

@@ -58,12 +58,13 @@ have been used, at no greater cost.  Under DAG size, the cost used here, it
 cannot: a stand-in that shares no sub-formula with its sibling costs more
 than the dropped candidate would have, so the search can miss the minimal
 witness and answer with a larger one, or with "no formula" within a bound
-that has one (ROADMAP.md, item 1, gives a sample where the default search
-finds nothing at bound 3 and NONE mode finds `F q -> q`).  A signature
-reported as separating is always genuine (it belongs to a concrete formula
-of that cost), so pruning can never produce a false positive or an
-undersized answer; the exhaustive NONE mode keeps every candidate and serves
-as the reference oracle that the test suite checks SEMANTIC mode against.
+that has one (`tests/test_learner.py::TestPruningUnderDagSize` gives a
+sample where the default search finds nothing at bound 3 and NONE mode finds
+`F q -> q`).  A signature reported as separating is always genuine (it
+belongs to a concrete formula of that cost), so pruning can never produce a
+false positive or an undersized answer; the exhaustive NONE mode keeps
+every candidate and serves as the reference oracle that the test suite
+checks SEMANTIC mode against.
 """
 
 from __future__ import annotations

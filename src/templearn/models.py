@@ -24,8 +24,9 @@ Branching-time samples replace `pos:`/`neg:` lines with blocks:
     edge s1 s0
     end
 
-`load_sample` parses each distinct letter text once per file, and builds
-the examples from letters it has checked against the alphabet.
+`parse_sample` parses each distinct letter text once per file, and builds
+the examples from letters it has checked against the alphabet;
+`load_sample` reads a file and parses it.
 """
 
 from __future__ import annotations
@@ -321,17 +322,23 @@ def word_to_text(word: Word) -> str:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample file; raises SampleFormatError with a line number.
+    """Read a sample file; raises SampleFormatError with a line number."""
+    with open(path) as fh:
+        return parse_sample(fh.read())
+
+
+def parse_sample(text: str) -> Sample:
+    """Parse the text of a sample file; raises SampleFormatError with a
+    line number.
 
     Each distinct letter text is parsed once per file, and checked on the
-    line or block that first reads it: a bad letter stops the load there,
+    line or block that first reads it: a bad letter stops the parse there,
     so a line of texts read before needs no check.  The alphabet's names
     are checked when it is declared, so a letter inside the alphabet has
     legal names, and the examples are built from their letters without
     checking the names again.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = text.splitlines()
     alphabet = None
     logic = None
     bound = None

@@ -30,6 +30,29 @@ def example1_cnf_file():
     return ROOT / "samples" / "example1.cnf"
 
 
+@pytest.fixture
+def sample_file(tmp_path):
+    """A small LTL sample file with a bound."""
+    path = tmp_path / "basic.sample"
+    path.write_text(
+        "alphabet: p, q\nlogic: ltl\nbound: 3\n"
+        "pos: | {p}\npos: {q} | {p};{q}\nneg: | {}\n")
+    return str(path)
+
+
+@pytest.fixture
+def ctl_sample_file(tmp_path):
+    """A small CTL sample file of three structures."""
+    path = tmp_path / "basic_ctl.sample"
+    path.write_text(
+        "alphabet: p\nlogic: ctl\nbound: 3\n"
+        "pos-kripke:\nstate a {p}\ninit a\nedge a a\nend\n"
+        "pos-kripke:\nstate a {}\nstate b {p}\ninit a\nedge a b\n"
+        "edge b b\nend\n"
+        "neg-kripke:\nstate a {}\ninit a\nedge a a\nend\n")
+    return str(path)
+
+
 @pytest.fixture(scope="session")
 def bundled_sample(example1_sample_file):
     return load_sample(example1_sample_file)

@@ -1,5 +1,8 @@
 """The templearn command-line interface."""
 
+import builtins
+import collections
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import templearn
-from templearn import load_sample
+from templearn import cli, load_sample
 from templearn.cli import (
     EXIT_ERROR, EXIT_NO_FORMULA, EXIT_OK, EXIT_PROPERTY_FAILURE, EXIT_USAGE,
     main,
@@ -42,27 +45,6 @@ def run_optimized(patched, *argv):
          *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(package_dir)})
-
-
-@pytest.fixture
-def sample_file(tmp_path):
-    path = tmp_path / "basic.sample"
-    path.write_text(
-        "alphabet: p, q\nlogic: ltl\nbound: 3\n"
-        "pos: | {p}\npos: {q} | {p};{q}\nneg: | {}\n")
-    return str(path)
-
-
-@pytest.fixture
-def ctl_sample_file(tmp_path):
-    path = tmp_path / "basic_ctl.sample"
-    path.write_text(
-        "alphabet: p\nlogic: ctl\nbound: 3\n"
-        "pos-kripke:\nstate a {p}\ninit a\nedge a a\nend\n"
-        "pos-kripke:\nstate a {}\nstate b {p}\ninit a\nedge a b\n"
-        "edge b b\nend\n"
-        "neg-kripke:\nstate a {}\ninit a\nedge a a\nend\n")
-    return str(path)
 
 
 @pytest.fixture
@@ -352,10 +334,77 @@ class TestReduce:
         assert err == "error: the reduction needs at least one variable\n"
         assert not out_path.exists()
 
+    def test_failed_write_names_its_path(self, capsys, example1_cnf_file):
+        code, out, err = run(capsys, "reduce", "sat2ltl", "--cnf",
+                             str(example1_cnf_file),
+                             "--out", "/nonexistent-dir/x.sample")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == ("error: cannot write /nonexistent-dir/x.sample: "
+                       "No such file or directory\n")
+
     def test_bad_direction_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["reduce", "nowhere", "--out", str(tmp_path / "x")])
         assert info.value.code == EXIT_USAGE
+
+
+class TestInputFiles:
+    """Each input file is read once, and the report records the SHA-256 of
+    the bytes that were parsed."""
+
+    @pytest.mark.parametrize("command", ["check", "learn", "reduce sat2ltl",
+                                         "reduce ltl2ctl", "extract"])
+    def test_each_input_is_opened_once(self, capsys, monkeypatch, tmp_path,
+                                       sample_file, cnf_file, command):
+        reduced = str(tmp_path / "reduced.sample")
+        out = str(tmp_path / "out.sample")
+        run(capsys, "reduce", "sat2ltl", "--cnf", cnf_file, "--out", reduced)
+        argv, inputs = {
+            "check": (["check", "--formula", "F p", "--sample", sample_file],
+                      [sample_file]),
+            "learn": (["learn", "--sample", sample_file], [sample_file]),
+            "reduce sat2ltl": (["reduce", "sat2ltl", "--cnf", cnf_file,
+                                "--out", out], [cnf_file]),
+            "reduce ltl2ctl": (["reduce", "ltl2ctl", "--sample", reduced,
+                                "--out", out], [reduced]),
+            "extract": (["extract", "--formula", "x1 | x2", "--cnf", cnf_file,
+                         "--sample", reduced], [cnf_file, reduced]),
+        }[command]
+        opened = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert {path: opened[path] for path in inputs} == dict.fromkeys(
+            inputs, 1)
+
+    def test_report_hashes_the_bytes_it_parsed(self, capsys, monkeypatch,
+                                               sample_file):
+        original = Path(sample_file).read_bytes()
+        parse_sample = cli.parse_sample
+
+        def rewrite_then_parse(text):
+            Path(sample_file).write_text(
+                "alphabet: p\nlogic: ltl\npos: | {}\nneg: | {p}\n")
+            return parse_sample(text)
+
+        monkeypatch.setattr(cli, "parse_sample", rewrite_then_parse)
+        code, out, _ = run(capsys, "check", "--json", "--formula", "F p",
+                           "--sample", sample_file)
+        assert code == EXIT_OK
+        assert Path(sample_file).read_bytes() != original
+        data = json.loads(out)
+        assert data["inputs"]["sample"] == {
+            "path": sample_file,
+            "sha256": hashlib.sha256(original).hexdigest()}
+        assert data["outcome"]["verdicts"] == {"positives": [True, True],
+                                               "negatives": [False]}
+        assert data["outcome"]["separating"] is True
 
 
 class TestNormalizeAndTranslate:

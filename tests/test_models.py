@@ -1,6 +1,7 @@
 """Words, structures, samples, and the on-disk sample format."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from templearn import (
     KripkeStructure, Sample, SampleFormatError, Word, embed_word,
     load_sample, save_sample,
 )
-from templearn.models import parse_word_text, word_to_text
+from templearn.models import parse_sample, parse_word_text, word_to_text
 
 
 class TestWord:
@@ -257,6 +258,31 @@ class TestSampleFiles:
         assert k.states == ("s0", "s1")
         assert k.label_of("s0") == frozenset({"p", "q"})
         assert k.initial == frozenset({"s0"})
+
+
+class TestParseSample:
+    """`load_sample` reads a file and parses its text with `parse_sample`."""
+
+    @pytest.mark.parametrize("fixture", ["example1_sample_file",
+                                         "sample_file", "ctl_sample_file"])
+    def test_text_parses_like_the_file(self, request, fixture):
+        path = Path(request.getfixturevalue(fixture))
+        assert parse_sample(path.read_text()) == load_sample(path)
+
+    @pytest.mark.parametrize("text", [
+        "alphabet: p\nlogic: ltl\npos: | {q}\n",
+        "alphabet: p\nlogic: ctl\npos-kripke:\nstate a {p}\ninit a\n",
+        "alphabet: p\n",
+    ])
+    def test_errors_match(self, tmp_path, text):
+        path = tmp_path / "bad.sample"
+        path.write_text(text)
+        with pytest.raises(SampleFormatError) as loaded:
+            load_sample(path)
+        with pytest.raises(SampleFormatError) as parsed:
+            parse_sample(text)
+        assert (parsed.value.line, str(parsed.value)) == (
+            loaded.value.line, str(loaded.value))
 
 
 # The exact message and line of each malformed file.  On one line the

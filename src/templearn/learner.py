@@ -20,9 +20,10 @@ jointly cover every operator application exactly once:
 Each layer below the bound (at bound 1, the seeds) is composed in one
 pass: one comprehension over the operator functions, then one dict from
 each of the layer's distinct signatures to its first position.  That dict
-updates the distinct set, is screened for separating signatures (a hit's
-positions are looked up only then), and gives the keep list as its keys
-less the signatures kept before.  Only the candidates that are kept are
+is screened for separating signatures (a hit's positions are looked up
+only then), gives the keep list as its keys less the signatures seen
+before, and updates the set of those, whose size is the search's
+`distinct_signatures`.  Only the candidates that are kept are
 registered, in layer order, because that order decides which of several
 same-signature candidates is kept: in SEMANTIC mode the first of each new
 signature, and none from the layer's first separating candidate on, so
@@ -43,11 +44,13 @@ A unary row runs over the queued operands.  A commuting row (`&`, `|`,
 `<->`) runs over the forward pairs only, and each winning pair `(a, b)`
 with `a != b` adds its mirror `(b, a)` to the winners; any other binary
 row runs over the forward pairs followed by their mirrors, built from the
-same two packed ints.  Each row's lanes go to the distinct set in one
-update, and the screen of start positions runs on the packed vector, so
-that only the lanes that pass it get the full separation test.  The queue
-is flushed when its widest packed call would reach `_LANE_CAP` lanes, when
-the search reaches the final layer, and once after the last layer.
+same two packed ints.  The screen of start positions runs on the packed
+vector, and a lane that passes it separates unless a negative example has
+several initial states: only then is the lane's value read, for the full
+separation test.  So the final layer adds nothing to
+`distinct_signatures`, which does not depend on how it is flushed.  The
+queue is flushed when its widest packed call would reach `_LANE_CAP` lanes,
+when the search reaches the final layer, and once after the last layer.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -69,8 +72,6 @@ checks SEMANTIC mode against.
 
 from __future__ import annotations
 
-import struct
-import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -372,7 +373,7 @@ def _build_domain(sample: Sample):
 # How wide the final layer's widest packed call may grow before a flush:
 # twice the queued forward pairs (a non-commuting row runs over them and
 # their mirrors) plus the queued unary operands.  It bounds the memory that
-# the queued ids and each row's packed and unpacked lanes hold.
+# the queued ids and each row's packed lanes hold.
 _LANE_CAP = 4096
 
 # The binary rows whose operands commute: the mirror of a lane has the
@@ -396,8 +397,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
 
     seed_sigs = [domain.prop_vector(name) for name in names]
     winners: dict = {}
-    kept_sigs: set = set()
-    distinct: set = set()
+    distinct: set = set()  # the signatures of the layers composed so far
 
     def layer(cost, triples):
         # Every separating candidate of the layer wins.  Without a fixed
@@ -407,7 +407,6 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         sigs = enum.compose(fns, triples)
         n = stop = len(sigs)
         first = dict(zip(reversed(sigs), range(n - 1, -1, -1)))
-        distinct.update(first)
         if not exhaust or cost == bound:
             won = {sig for sig in first
                    if sig & screen == pos_mask and is_separating(sig)}
@@ -416,12 +415,12 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                                  if sig in won]
                 if not exhaust:
                     stop = min(map(first.__getitem__, won))
+        new = first.keys() - distinct
+        distinct.update(new)
         if not semantic:
             return range(stop), sigs
         # The first candidate of each signature that is new, in layer order.
-        keep = sorted(i for i in map(first.__getitem__,
-                                     first.keys() - kept_sigs) if i < stop)
-        kept_sigs.update(first)
+        keep = sorted(i for i in map(first.__getitem__, new) if i < stop)
         return keep, [sigs[i] for i in keep]
 
     # The final layer's queue: the forward pairs `(left_ids[i],
@@ -449,20 +448,26 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         return int.from_bytes(b"".join(map(encoded.__getitem__, ids)),
                               "little")
 
+    # The screen is the whole test unless a negative example has several
+    # initial states: the screen leaves out exactly their start positions.
+    screen_decides = not any(m & ~screen for m in domain.starts)
+
     def hits(opcodes, k, xs):
-        # One packed call per row over `k` lanes.  Every lane's signature
-        # goes to the distinct set; the screen runs on the packed vector,
-        # and only the lanes that pass it get the full test.
+        # One packed call per row over `k` lanes, screened on the packed
+        # vector.  The lanes that pass are read, from one `to_bytes` of the
+        # row, only when the screen is not the whole test.
         view = domain.lanes(k)
         rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
         screens, wants = screen * rep, pos_mask * rep
         for op in opcodes:
             packed = view.op(*all_rows[op])(*xs)
-            sigs = _unpack(packed, width, k)
-            distinct.update(sigs)
-            for i in _zero_lanes((packed & screens) ^ wants, width, rep):
-                if is_separating(sigs[i]):
-                    yield op, i
+            passed = _zero_lanes((packed & screens) ^ wants, width, rep)
+            if passed and not screen_decides:
+                raw = packed.to_bytes(k * width, "little")
+                passed = [i for i in passed if is_separating(int.from_bytes(
+                    raw[i * width:(i + 1) * width], "little"))]
+            for i in passed:
+                yield op, i
 
     def flush():
         # A commuting row runs over the `k` forward lanes; any other binary
@@ -509,22 +514,6 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     stats = {"candidates_generated": enum.generated,
              "distinct_signatures": len(distinct)}
     return best_cost, winners.get(best_cost, []), enum, stats
-
-
-# The `memoryview` format of a lane of 1, 2, 4 or 8 bytes, on hosts that
-# store integers little-endian; other lanes are read one at a time.
-_LANE_FORMATS = ({struct.calcsize(c): c for c in "QIHB"}
-                 if sys.byteorder == "little" else {})
-
-
-def _unpack(packed: int, width: int, k: int) -> list:
-    """The `k` lanes of `packed`, `width` bytes each, lowest lane first."""
-    raw = packed.to_bytes(k * width, "little")
-    fmt = _LANE_FORMATS.get(width)
-    if fmt:
-        return memoryview(raw).cast(fmt).tolist()
-    return [int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)]
 
 
 def _zero_lanes(z: int, width: int, rep: int) -> list:

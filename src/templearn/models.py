@@ -230,14 +230,22 @@ class Sample:
         # dicts keep the first occurrence of each example, in order
         positives = dict.fromkeys(positives)
         negatives = dict.fromkeys(negatives)
-        for example in (*positives, *negatives):
+        examples = (*positives, *negatives)
+        letters: set = set()  # each distinct letter once: examples share them
+        mismatch = None  # reported after any earlier example outside alphabet
+        for example in examples:
             if not isinstance(example, wanted):
-                raise ValueError(
-                    f"a {logic} sample cannot contain {type(example).__name__}"
-                )
-            if not example.props() <= alphabet:
-                extra = sorted(example.props() - alphabet)
-                raise ValueError(f"example uses {extra[0]!r} outside the alphabet")
+                mismatch = example
+                break
+            letters.update(example.prefix + example.period if logic == LTL
+                           else example.labels)
+        if not all(letter <= alphabet for letter in letters):
+            extra = next(e.props() - alphabet for e in examples
+                         if not e.props() <= alphabet)
+            raise ValueError(f"example uses {min(extra)!r} outside the alphabet")
+        if mismatch is not None:
+            raise ValueError(
+                f"a {logic} sample cannot contain {type(mismatch).__name__}")
         if not positives.keys().isdisjoint(negatives):
             raise ValueError(
                 "the same example appears as both positive and negative"

@@ -156,10 +156,8 @@ class _Fixpoints:
 
         `W` is `8 * lane_bytes`, the domain's size rounded up to whole
         bytes.  So `k` vectors pack by joining their `int.to_bytes` and
-        converting once with `int.from_bytes`, and a result unpacks from
-        one `to_bytes` of the whole: lane `i` is bytes `[i*W/8,
-        (i+1)*W/8)`, which `memoryview.cast` reads as native unsigned ints
-        in C when a lane is 1, 2, 4 or 8 bytes on a little-endian host.
+        converting once with `int.from_bytes`, and lane `i` of a result is
+        bytes `[i*W/8, (i+1)*W/8)` of one `to_bytes` of the whole.
 
         `full` and the masks of EX are replicated by the base-2^W repunit
         `((1 << k*W) - 1) // ((1 << W) - 1)`.  Every operator row taken from

@@ -250,14 +250,14 @@ _EXAMPLE1_SHA = ("1833a4d86687d84432067db92519e963"
                  "37b9b2c15184091a6f834df2f98dd81a")
 _GOLDEN_LEARN = {
     "example1": (("--sample", "example1"), _EXAMPLE1_SHA, 5, "at_most",
-                 "semantic", "x1 | (x3 | x2)", 5, 4150, 115),
+                 "semantic", "x1 | (x3 | x2)", 5, 4150, 64),
     "example1-exactly": (("--sample", "example1", "--exactly"), _EXAMPLE1_SHA,
                          5, "exactly", "semantic", "x1 | (x3 | x2)", 5, 4150,
-                         115),
+                         64),
     "three-props-no-dedup": (
         ("--sample", "three-props", "--no-dedup"),
         "32da21fa2e8a2fa34771e81da613f0048e2681961af5bf5603f438d28c72d566",
-        5, "at_most", "none", "!(r -> X r)", 4, 688143, 154),
+        5, "at_most", "none", "!(r -> X r)", 4, 688143, 90),
 }
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import sys
 
 import pytest
 
@@ -425,34 +424,6 @@ def repunit(k, width):
     return ((1 << k * bits) - 1) // ((1 << bits) - 1)
 
 
-class TestUnpack:
-    """`_unpack` reads lanes of 1, 2, 4 or 8 bytes with `memoryview.cast`
-    and any other width one `int.from_bytes` at a time; both give the
-    packed values back."""
-
-    WIDTHS = (1, 2, 3, 4, 6, 8, 9, 16)
-
-    def test_cast_formats_cover_the_machine_widths(self):
-        if sys.byteorder == "little":
-            assert set(learner._LANE_FORMATS) == {1, 2, 4, 8}
-        else:
-            assert learner._LANE_FORMATS == {}
-
-    @pytest.mark.parametrize("cast", [True, False], ids=["cast", "bytes"])
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_round_trip(self, monkeypatch, cast, width):
-        if not cast:
-            monkeypatch.setattr(learner, "_LANE_FORMATS", {})
-        rng = random.Random(width)
-        for k in (1, 7, 300):
-            values = [rng.getrandbits(8 * width) for _ in range(k)]
-            values[0] = (1 << 8 * width) - 1  # every bit of a lane set
-            values[-1] = 0  # and a zero top lane
-            got = learner._unpack(pack_lanes(values, width), width, k)
-            assert got == values
-            assert all(type(v) is int for v in got)
-
-
 def distinct_words(rng, n):
     """Distinct random words over p, q, r with `n` suffix classes in all."""
     while True:
@@ -549,6 +520,26 @@ class TestPackedScreen:
         assert [is_separating(s) for s in sigs] == [True, False]
 
 
+def run_search(sample, config, reads=None):
+    """The operator table of the search `learn` runs first on `sample`,
+    and that search's `(cost, triples, enum, stats)`.  Each signature that
+    gets the full separation test is appended to `reads`."""
+    names = sorted(sample.alphabet)
+    domain, pos_mask, screen, is_separating, trivial = _build_domain(sample)
+    if reads is not None:
+        test = is_separating
+
+        def is_separating(sig):
+            reads.append(sig)
+            return test(sig)
+    semantic = config.dedup == DedupMode.SEMANTIC
+    rows = learner._op_table(sample.logic, config.operators,
+                             semantic and trivial)
+    return rows, learner._run_search(
+        names, domain, rows, pos_mask, screen, is_separating,
+        config.bound or sample.bound, semantic)
+
+
 class TestFlushBoundaries:
     """The final layer gives the same outcome however its lanes are split
     into flushes: one share per flush, a few lanes, or the default cap."""
@@ -589,18 +580,11 @@ class TestFlushBoundaries:
         assert flushes[0] > flushes[1] > flushes[2]
 
     @staticmethod
-    def winners(sample, config):
+    def winners(sample, config, reads=None):
         """The winning cost of one search and its winners, printed and
         sorted."""
         names = sorted(sample.alphabet)
-        domain, pos_mask, screen, is_separating, trivial = _build_domain(
-            sample)
-        semantic = config.dedup == DedupMode.SEMANTIC
-        rows = learner._op_table(sample.logic, config.operators,
-                                 semantic and trivial)
-        cost, triples, enum, _ = learner._run_search(
-            names, domain, rows, pos_mask, screen, is_separating,
-            config.bound or sample.bound, semantic)
+        rows, (cost, triples, enum, _) = run_search(sample, config, reads)
         builders = learner._builders(sample.logic, rows)
         return cost, sorted(print_formula(enum.build_formula(
             t, lambda i: Prop(names[i]), builders)) for t in triples)
@@ -667,6 +651,151 @@ class TestMirroredWinners:
             False, exhaust=True)
         assert any(a == b for _, a, b in triples)
         assert len(set(triples)) == len(triples)
+
+
+def kripke_sample(rng, states):
+    """A CTL sample over p, q of three to six random structures with
+    `states` states in all.  The first negative has two initial states,
+    every other structure one or two."""
+    n = rng.randint(3, max(3, min(6, states // 2)))
+    cuts = sorted(rng.choices(range(states - 2 * n + 1), k=n - 1))
+    sizes = [2 + b - a for a, b in zip([0, *cuts], [*cuts, states - 2 * n])]
+    pos = n // 2
+    structures = [kripke(rng, m, 2 if i == pos else rng.randint(1, 2))
+                  for i, m in enumerate(sizes)]
+    return Sample("pq", "ctl", structures[:pos], structures[pos:])
+
+
+def lasso_sample(rng, classes):
+    """An LTL sample over p, q, r of distinct words with `classes` suffix
+    classes in all, the first of them positive."""
+    words = distinct_words(rng, classes)
+    cut = rng.randint(1, max(1, len(words) - 1))
+    return Sample("pqr", "ltl", words[:cut], words[cut:])
+
+
+def unseparated(rng, draw, bound):
+    """The samples `draw(rng)` gives that no formula of size `bound` or
+    less separates, without end."""
+    while True:
+        sample = draw(rng)
+        if not learn(sample, LearnConfig(bound=bound,
+                                         dedup=DedupMode.NONE)).decision:
+            yield sample
+
+
+class TestFinalLayerWinners:
+    """The final layer's winners are exactly the formulas of the bound's
+    size that separate: brute force over `enumerate_formulas` at bound 3 in
+    NONE mode, on samples with no smaller separator.  A lane that passes
+    the screen is read for the full test only when some negative has
+    several initial states."""
+
+    @staticmethod
+    def check(sample):
+        """The separators of size 3, printed, and the signatures that the
+        search gave the full test."""
+        want = sorted(print_formula(f) for f in enumerate_formulas(
+            sample.alphabet, 3, logic=sample.logic)
+            if size(f) == 3 and check_separating(f, sample))
+        reads = []
+        assert TestFlushBoundaries.winners(
+            sample, LearnConfig(bound=3, dedup=DedupMode.NONE), reads) == (
+            (3, want) if want else (None, []))
+        return want, reads
+
+    @pytest.mark.parametrize("states, width", [
+        (6, 1), (20, 3), (60, 8), (70, 9), (125, 16)])
+    def test_structures_with_several_initial_states(self, states, width):
+        # At least two samples, and as many more as it takes to find a
+        # separator.
+        winners = reads = 0
+        for k, sample in enumerate(unseparated(
+                random.Random(states), lambda rng: kripke_sample(rng, states),
+                2)):
+            assert _build_domain(sample)[0].lane_bytes == width
+            want, read = self.check(sample)
+            winners += len(want)
+            reads += len(read)
+            if k and winners:
+                break
+        # Some lanes pass the screen and fail the full test.
+        assert winners < reads
+
+    @pytest.mark.parametrize("classes, width", [(6, 1), (12, 2)])
+    def test_lassos_read_no_lane(self, classes, width):
+        winners = 0
+        for k, sample in enumerate(unseparated(
+                random.Random(classes), lambda rng: lasso_sample(rng, classes),
+                2)):
+            assert _build_domain(sample)[0].lane_bytes == width
+            want, reads = self.check(sample)
+            assert reads == []
+            winners += len(want)
+            if k >= 2 and winners:
+                break
+
+
+def rotation_sample(alphabet="pq"):
+    """A word and a rotation of it: one infinite word, so no formula
+    separates them."""
+    return Sample(alphabet, "ltl", [word("| {p};{q}")],
+                  [word("{p} | {q};{p}")])
+
+
+# Samples with no separator within the bound each is searched at below.
+UNSEPARATED = {
+    "rotation": rotation_sample,
+    "unsat-a/ltl": lambda: reduce_sat(CnfInstance(3, PINNED_CNFS["unsat-a"])),
+    "unsat-b/ctl": lambda: reduce_ltl_to_ctl(
+        reduce_sat(CnfInstance(3, PINNED_CNFS["unsat-b"]))),
+    "structures": lambda: next(unseparated(
+        random.Random(1), lambda rng: kripke_sample(rng, 20), 3)),
+}
+
+
+class TestDistinctSignatures:
+    """`distinct_signatures` counts the distinct signatures of the
+    candidates composed one at a time: every layer below the bound, or the
+    seeds at bound 1.  The final layer adds none."""
+
+    @pytest.mark.parametrize("name, bound", [
+        ("rotation", 2), ("rotation", 3), ("rotation", 4),
+        ("unsat-a/ltl", 3), ("unsat-b/ctl", 3), ("structures", 3)])
+    def test_exhaustive_count_is_that_of_the_smaller_formulas(self, name,
+                                                              bound):
+        sample = UNSEPARATED[name]()
+        out = learn(sample, LearnConfig(bound=bound, dedup=DedupMode.NONE))
+        assert not out.decision
+        domain = _build_domain(sample)[0]
+        assert out.stats["distinct_signatures"] == len(
+            {domain.evaluate(f) for f in enumerate_formulas(
+                sample.alphabet, bound - 1, logic=sample.logic)})
+
+    @pytest.mark.parametrize("dedup", list(DedupMode))
+    @pytest.mark.parametrize("sample, count", [
+        (Sample("pq", "ltl", [word("| {p}")], [word("| {}")]), 2),
+        # q and r never hold, and nothing separates.
+        (Sample("pqr", "ltl", [word("| {p}")], [word("{p} | {}")]), 2),
+        (rotation_sample("pqr"), 3),
+    ], ids=["separated", "shared", "rotation"])
+    def test_bound_one_counts_the_proposition_vectors(self, sample, count,
+                                                      dedup):
+        domain = _build_domain(sample)[0]
+        assert len({domain.prop_vector(p) for p in sample.alphabet}) == count
+        out = learn(sample, LearnConfig(bound=1, dedup=dedup))
+        assert out.stats["distinct_signatures"] == count
+
+    @pytest.mark.parametrize("name, bound", [
+        ("rotation", 4), ("unsat-a/ltl", 5), ("unsat-b/ctl", 5),
+        ("structures", 3)])
+    def test_pruned_count_is_that_of_the_registered_candidates(self, name,
+                                                               bound):
+        # Every new signature below the bound is registered once.
+        _, (cost, _, enum, stats) = run_search(UNSEPARATED[name](),
+                                               LearnConfig(bound=bound))
+        assert cost is None
+        assert stats["distinct_signatures"] == len(enum.payloads)
 
 
 class TestCtlLearning:
@@ -796,42 +925,42 @@ class TestEnumeration:
 # the tie-break shows here.  NONE mode runs the reduction samples at bound 3:
 # at their own bound 5 it visits 7.9 M candidates.
 PINNED_SEARCHES = {
-    ('sat-a/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
-    ('sat-a/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
-    ('sat-a/ltl', 'none'): (False, None, None, 2334, 56),
-    ('sat-a/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
-    ('sat-a/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 124),
-    ('sat-a/ctl', 'none'): (False, None, None, 5382, 56),
-    ('sat-b/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
-    ('sat-b/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
-    ('sat-b/ltl', 'none'): (False, None, None, 2334, 66),
-    ('sat-b/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
-    ('sat-b/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 239),
-    ('sat-b/ctl', 'none'): (False, None, None, 5382, 66),
-    ('unsat-a/ltl', 'default'): (False, None, None, 4962, 182),
-    ('unsat-a/ltl', 'exactly'): (False, None, None, 4962, 182),
-    ('unsat-a/ltl', 'none'): (False, None, None, 2334, 59),
-    ('unsat-a/ctl', 'default'): (False, None, None, 4962, 182),
-    ('unsat-a/ctl', 'exactly'): (False, None, None, 4962, 182),
-    ('unsat-a/ctl', 'none'): (False, None, None, 5382, 59),
-    ('unsat-b/ltl', 'default'): (False, None, None, 5756, 307),
-    ('unsat-b/ltl', 'exactly'): (False, None, None, 5756, 307),
-    ('unsat-b/ltl', 'none'): (False, None, None, 2334, 62),
-    ('unsat-b/ctl', 'default'): (False, None, None, 5756, 307),
-    ('unsat-b/ctl', 'exactly'): (False, None, None, 5756, 307),
-    ('unsat-b/ctl', 'none'): (False, None, None, 5382, 62),
-    ('lasso-0', 'default'): (True, 'X p', 2, 70, 16),
-    ('lasso-0', 'exactly'): (True, 'X p & X p', 3, 70, 16),
-    ('lasso-0', 'none'): (True, 'X p', 2, 70, 16),
-    ('lasso-1', 'default'): (True, 'X (p -> X p)', 4, 1290, 52),
-    ('lasso-1', 'exactly'): (True, 'X (p -> X p)', 4, 1290, 52),
-    ('lasso-1', 'none'): (True, 'X (p -> X p)', 4, 33482, 52),
-    ('lasso-2', 'default'): (True, 'F p', 2, 98, 31),
-    ('lasso-2', 'exactly'): (True, 'F p & F p', 3, 98, 31),
-    ('lasso-2', 'none'): (True, 'F p', 2, 98, 31),
-    ('lasso-3', 'default'): (True, 'X X q', 3, 1354, 84),
-    ('lasso-3', 'exactly'): (True, 'X X q & X X q', 4, 1354, 84),
-    ('lasso-3', 'none'): (True, 'X X q', 3, 19974, 84),
+    ('sat-a/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 68),
+    ('sat-a/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 68),
+    ('sat-a/ltl', 'none'): (False, None, None, 2334, 13),
+    ('sat-a/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 68),
+    ('sat-a/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 4538, 68),
+    ('sat-a/ctl', 'none'): (False, None, None, 5382, 13),
+    ('sat-b/ltl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 94),
+    ('sat-b/ltl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 94),
+    ('sat-b/ltl', 'none'): (False, None, None, 2334, 13),
+    ('sat-b/ctl', 'default'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 94),
+    ('sat-b/ctl', 'exactly'): (True, 'x1 | (x3_bar | x2)', 5, 5988, 94),
+    ('sat-b/ctl', 'none'): (False, None, None, 5382, 13),
+    ('unsat-a/ltl', 'default'): (False, None, None, 4962, 76),
+    ('unsat-a/ltl', 'exactly'): (False, None, None, 4962, 76),
+    ('unsat-a/ltl', 'none'): (False, None, None, 2334, 13),
+    ('unsat-a/ctl', 'default'): (False, None, None, 4962, 76),
+    ('unsat-a/ctl', 'exactly'): (False, None, None, 4962, 76),
+    ('unsat-a/ctl', 'none'): (False, None, None, 5382, 13),
+    ('unsat-b/ltl', 'default'): (False, None, None, 5756, 94),
+    ('unsat-b/ltl', 'exactly'): (False, None, None, 5756, 94),
+    ('unsat-b/ltl', 'none'): (False, None, None, 2334, 13),
+    ('unsat-b/ctl', 'default'): (False, None, None, 5756, 94),
+    ('unsat-b/ctl', 'exactly'): (False, None, None, 5756, 94),
+    ('unsat-b/ctl', 'none'): (False, None, None, 5382, 13),
+    ('lasso-0', 'default'): (True, 'X p', 2, 70, 9),
+    ('lasso-0', 'exactly'): (True, 'X p & X p', 3, 70, 9),
+    ('lasso-0', 'none'): (True, 'X p', 2, 70, 9),
+    ('lasso-1', 'default'): (True, 'X (p -> X p)', 4, 1290, 26),
+    ('lasso-1', 'exactly'): (True, 'X (p -> X p)', 4, 1290, 26),
+    ('lasso-1', 'none'): (True, 'X (p -> X p)', 4, 33482, 26),
+    ('lasso-2', 'default'): (True, 'F p', 2, 98, 11),
+    ('lasso-2', 'exactly'): (True, 'F p & F p', 3, 98, 11),
+    ('lasso-2', 'none'): (True, 'F p', 2, 98, 11),
+    ('lasso-3', 'default'): (True, 'X X q', 3, 1354, 32),
+    ('lasso-3', 'exactly'): (True, 'X X q & X X q', 4, 1354, 32),
+    ('lasso-3', 'none'): (True, 'X X q', 3, 19974, 32),
     ('lasso-4', 'default'): (True, 'p', 1, 2, 2),
     ('lasso-4', 'exactly'): (True, 'p & p & (p & p)', 3, 2, 2),
     ('lasso-4', 'none'): (True, 'p', 1, 2, 2),
@@ -839,12 +968,12 @@ PINNED_SEARCHES = {
     ('lasso-5', 'exactly'): (True, 'p & p & (p & p) & (p & p & (p & p))',
                              4, 2, 2),
     ('lasso-5', 'none'): (True, 'p', 1, 2, 2),
-    ('lasso-6', 'default'): (True, 'X p', 2, 115, 18),
-    ('lasso-6', 'exactly'): (True, 'X p & X p', 3, 115, 18),
-    ('lasso-6', 'none'): (True, 'X p', 2, 115, 18),
-    ('lasso-7', 'default'): (True, 'r -> q', 3, 1835, 146),
-    ('lasso-7', 'exactly'): (True, '(r -> q) & (r -> q)', 4, 1835, 146),
-    ('lasso-7', 'none'): (True, 'r -> q', 3, 6999, 146),
+    ('lasso-6', 'default'): (True, 'X p', 2, 115, 13),
+    ('lasso-6', 'exactly'): (True, 'X p & X p', 3, 115, 13),
+    ('lasso-6', 'none'): (True, 'X p', 2, 115, 13),
+    ('lasso-7', 'default'): (True, 'r -> q', 3, 1835, 59),
+    ('lasso-7', 'exactly'): (True, '(r -> q) & (r -> q)', 4, 1835, 59),
+    ('lasso-7', 'none'): (True, 'r -> q', 3, 6999, 59),
 }
 
 PINNED_CNFS = {

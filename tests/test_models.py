@@ -122,6 +122,21 @@ class TestSample:
         with pytest.raises(ValueError, match="outside the alphabet"):
             Sample(["p"], "ltl", [Word([], [["q"]])], [])
 
+    @pytest.mark.parametrize("logic", ["ltl", "ctl"])
+    def test_the_first_example_outside_the_alphabet_is_named(self, logic):
+        # Its least outside name, although a later example has a lesser
+        # one; an example of the wrong kind after it comes second.
+        words = [Word([], [["p"]]), Word([["z"]], [["p", "r", "q"]]),
+                 Word([], [["a"]]), Word([], [[]])]
+        structures = [embed_word(Word([], [w.props()])) for w in words]
+        good, wrong = (words, structures) if logic == "ltl" else (
+            structures, words)
+        with pytest.raises(ValueError) as raised:
+            Sample(["p"], logic, good[:2], [good[2], wrong[3]])
+        assert str(raised.value) == "example uses 'q' outside the alphabet"
+        with pytest.raises(ValueError, match="cannot contain"):
+            Sample(["p"], logic, good[:1], [wrong[3], good[2]])
+
     def test_positive_negative_overlap(self):
         w = Word([], [["p"]])
         with pytest.raises(ValueError, match="both positive and negative"):

@@ -123,15 +123,22 @@ class _Operator(Formula):
     quantifier = None
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.quantifier == other.quantifier
-            and self.args == other.args
-        )
+        # Pairs of nodes are compared off a stack, so two deep equal trees
+        # take no stack frame per level.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is Prop:
+                if a.name != b.name:
+                    return False
+            elif a.op != b.op or a.quantifier != b.quantifier:
+                return False
+            pairs.extend(zip(a.args, b.args))
+        return True
 
     __hash__ = Formula.__hash__
 
@@ -362,6 +369,17 @@ _BINARY_LEVEL = {
 }
 _RIGHT_ASSOC = frozenset((IFF, IMPLIES, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE))
 
+# How deep a formula text may be.  Each pair of parentheses and each
+# operator is one level.  The parser recurses into parentheses, prefix
+# operators, quantified groups and right operands, at up to ten stack frames
+# a level, so at most `MAX_NESTING` of these may nest.  The operators of a
+# left-associative chain follow one another in a loop and nest no deeper,
+# but they count toward `MAX_HEIGHT`, which bounds every root-to-leaf path:
+# each later pass over a parsed formula recurses once per level of it.  Both
+# limits keep every command within Python's default stack, under pytest too.
+MAX_NESTING = 64
+MAX_HEIGHT = 800
+
 _TOKEN_RE = re.compile(r"->|<->|[!&|()]|[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -387,12 +405,16 @@ class _Parser:
 
     A subclass names its `logic` and its `top_level`, the tightest level of
     a binary connective; above it `unary` reads the prefix operators and
-    atoms.
+    atoms.  The reading methods return a formula and its height in levels.
+    `depth` is the number of levels nested around the current token, at
+    most `MAX_NESTING`, and every part read keeps `depth + height` within
+    `MAX_HEIGHT`.
     """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.index][0]
@@ -416,8 +438,23 @@ class _Parser:
     def fail(self, message: str):
         raise FormulaSyntaxError(message, self.pos())
 
+    def nested(self, height: int, read, *args):
+        """Open a level at the current token, over a part `height` levels
+        high already, and `read(*args)` the rest one level deeper; returns
+        what `read` built and the level's height.  A level past either limit
+        fails at its token."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"formula nests deeper than {MAX_NESTING} levels")
+        if self.depth + height >= MAX_HEIGHT:
+            self.fail(f"formula is more than {MAX_HEIGHT} levels deep")
+        self.advance()
+        self.depth += 1
+        f, h = read(*args)
+        self.depth -= 1
+        return f, max(h, height) + 1
+
     def parse(self):
-        f = self.binary()
+        f, _ = self.binary()
         tok = self.peek()
         if tok:
             if tok in TEMPORAL_BINARY_OPS:
@@ -430,26 +467,30 @@ class _Parser:
         """The operators of `level` and tighter between unary operands."""
         if level > self.top_level:
             return self.unary()
-        f = self.binary(level + 1)
+        part = self.binary(level + 1)
         while _BINARY_LEVEL.get(self.peek()) == level:
-            op = self.advance()
-            right = self.binary(level if op in _RIGHT_ASSOC else level + 1)
-            f = node_builder(self.logic, op)(f, right)
-        return f
+            f, h = part
+            op = self.peek()
+            right, h = self.nested(h, self.binary, level if op in _RIGHT_ASSOC
+                                   else level + 1)
+            part = node_builder(self.logic, op)(f, right), h
+        return part
+
+    def group(self):
+        part = self.binary()
+        self.expect(")")
+        return part
 
     def atom(self):
         tok = self.peek()
         if tok == "(":
-            self.advance()
-            f = self.binary()
-            self.expect(")")
-            return f
+            return self.nested(0, self.group)
         if tok == "":
             self.fail("unexpected end of input")
         if tok in RESERVED_WORDS or not _PROP_RE.match(tok):
             self.fail(f"unexpected token {tok!r}")
         self.advance()
-        return Prop(tok)
+        return Prop(tok), 0
 
 
 class _LtlParser(_Parser):
@@ -459,8 +500,8 @@ class _LtlParser(_Parser):
     def unary(self):
         tok = self.peek()
         if tok in UNARY_OPS:
-            self.advance()
-            return LtlUnary(tok, self.unary())
+            child, h = self.nested(0, self.unary)
+            return LtlUnary(tok, child), h
         if tok in QUANTIFIERS:
             self.fail(f"path quantifier {tok!r} is not part of this logic")
         return self.atom()
@@ -475,30 +516,31 @@ class _CtlParser(_Parser):
     def unary(self):
         tok = self.peek()
         if tok == NOT:
-            self.advance()
-            return CtlNot(self.unary())
+            child, h = self.nested(0, self.unary)
+            return CtlNot(child), h
         if tok in QUANTIFIERS:
-            return self.quantified()
+            return self.nested(0, self.quantified, tok)
         if tok in TEMPORAL_UNARY_OPS or tok in TEMPORAL_BINARY_OPS:
             self.fail(f"temporal operator {tok!r} requires a path quantifier")
         return self.atom()
 
-    def quantified(self):
-        quantifier = self.advance()
+    def quantified(self, quantifier):
+        # The rest of a quantified group, one level with its parentheses.
         tok = self.peek()
         if tok in TEMPORAL_UNARY_OPS:
             self.advance()
-            return CtlQuantUnary(quantifier, tok, self.unary())
+            child, h = self.unary()
+            return CtlQuantUnary(quantifier, tok, child), h
         if tok == "(":
             self.advance()
-            left = self.binary()
+            left, hl = self.binary()
             op = self.peek()
             if op not in TEMPORAL_BINARY_OPS:
                 self.fail("expected a binary temporal operator")
             self.advance()
-            right = self.binary()
+            right, hr = self.binary()
             self.expect(")")
-            return CtlQuantBinary(quantifier, op, left, right)
+            return CtlQuantBinary(quantifier, op, left, right), max(hl, hr)
         self.fail(f"expected a temporal operator after {quantifier!r}")
 
 

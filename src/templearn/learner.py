@@ -2,11 +2,11 @@
 
 The search enumerates candidate formulas bottom-up by *closure size*: the
 cost of a candidate is the number of distinct sub-formulas it contains (DAG
-size), not its tree node count.  Each registered candidate keeps the bitset
-(a Python int) of the ids of its proper sub-formulas; its closure is that
-bitset plus its own id.  Applying a binary operator to candidates costs
-`|closure(left) ∪ closure(right)| + 1`, one popcount of an OR, which is how
-shared sub-formulas make large trees cheap.
+size), not its tree node count.  Each registered candidate keeps its
+closure: the bitset (a Python int) of the ids of its sub-formulas, its own
+id included, whose popcount is its cost.  Applying a binary operator to
+candidates costs `|closure(left) ∪ closure(right)| + 1`, one popcount of an
+OR, which is how shared sub-formulas make large trees cheap.
 
 Candidates are produced in nondecreasing cost through three schedules that
 jointly cover every operator application exactly once:
@@ -148,8 +148,9 @@ class ClosureEnumeration:
     Registering gives a candidate the next dense id and, below
     ``max_size``, schedules its applications, so a callback stops the
     search from expanding by keeping nothing from some position on.
-    ``closures[i]`` is the bitset of the ids of the proper sub-formulas of
-    candidate ``i``, so its cost is ``closures[i].bit_count() + 1``.
+    ``closures[i]`` is the bitset of the ids of the sub-formulas of
+    candidate ``i``, ``i`` included, so its cost is
+    ``closures[i].bit_count()``.
 
     Candidates of exactly ``max_size`` are never registered.  They form the
     final and by far the largest layer, so they are not materialized one by
@@ -175,9 +176,6 @@ class ClosureEnumeration:
         self.payloads: list = []
         self.closures: list = []
         self.builds: list = []  # (opcode, left, right); seeds (-1, index, -1)
-        # The closure, the id itself included, of each pairable id: those of
-        # cost below ``max_size - 1``, so ``0..n-1`` as costs never decrease.
-        self._pairable_closures: list = []
         # Pairable ids by their operands: (-1, -1) for seeds, (-1, a) for
         # unary and (min, max) for binary candidates.
         self._by_operands: dict = {}
@@ -200,9 +198,9 @@ class ClosureEnumeration:
                     opcode, left, right = triples[i]
                     union = 0
                     if opcode >= 0:
-                        union = closures[left] | 1 << left
+                        union = closures[left]
                         if right >= 0:
-                            union |= closures[right] | 1 << right
+                            union |= closures[right]
                     self._register(opcode, left, right, payload, union,
                                    cost)
             yield cost
@@ -218,18 +216,17 @@ class ClosureEnumeration:
 
     def _register(self, opcode, left, right, payload, union, cost):
         nid = len(self.payloads)
+        closure = union | 1 << nid
         self.payloads.append(payload)
-        self.closures.append(union)
+        self.closures.append(closure)
         self.builds.append((opcode, left, right))
         ms = self.max_size
         if cost == ms:
             return
         binary = range(self.n_unary, self.n_ops)
-        subs = _bit_ids(union) if binary else []
         if cost == ms - 1:
             # Every application to this candidate reaches the final layer.
-            if binary:
-                subs.append(nid)
+            subs = _bit_ids(closure) if binary else []
             self.generated += self.n_unary + len(binary) * (2 * len(subs) - 1)
             self.visit_top(nid, True, subs)
             return
@@ -237,17 +234,18 @@ class ClosureEnumeration:
         bucket += [(op, nid, -1) for op in range(self.n_unary)]
         if not binary:
             return
+        subs = _bit_ids(union)
         bucket += [t for d in subs for op in binary
                    for t in ((op, nid, d), (op, d, nid))]
         bucket += [(op, nid, nid) for op in binary]
         # Pairs with an earlier candidate outside this one's closure cost
         # their union's size plus one; the union has this closure's own
-        # size exactly when the partner lies inside the closure.
-        closure = union | 1 << nid
+        # size exactly when the partner lies inside the closure.  Costs
+        # never decrease, so every registered id is a partner here; this
+        # one's own entry gives that size too, and schedules nothing.
         by_operands = self._by_operands
         if cost < ms - 2:
-            counts = [(closure | c).bit_count()
-                      for c in self._pairable_closures]
+            counts = [(closure | c).bit_count() for c in self.closures]
             for g, k in enumerate(counts):
                 if cost < k < ms - 1:
                     self._buckets[k + 1] += [t for op in binary for t in
@@ -264,7 +262,6 @@ class ClosureEnumeration:
         if top:
             self.generated += 2 * len(binary) * len(top)
             self.visit_top(nid, False, top)
-        self._pairable_closures.append(closure)
         key = ((-1, -1) if opcode < 0 else (-1, left) if right < 0
                else (min(left, right), max(left, right)))
         by_operands.setdefault(key, []).append(nid)

@@ -450,7 +450,7 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
     # on every registered formula of size up to 3.
     cross_checked = 0
     for nid, closure in enumerate(enum.closures):
-        if closure.bit_count() + 1 > 3:
+        if closure.bit_count() > 3:
             continue
         cross_checked += 1
         ast = enum.build_formula(enum.builds[nid],

@@ -19,6 +19,8 @@ from templearn.cli import (
     EXIT_ERROR, EXIT_NO_FORMULA, EXIT_OK, EXIT_PROPERTY_FAILURE, EXIT_USAGE,
     main,
 )
+from templearn.formulas import MAX_HEIGHT, MAX_NESTING, print_formula
+from templearn.reductions import formula_from_valuation
 
 
 def run(capsys, *argv):
@@ -485,6 +487,110 @@ class TestExtract:
                              zero_cnf_file)
         assert (code, out) == (EXIT_ERROR, "")
         assert err == "error: the reduction needs at least one variable\n"
+
+
+def nested_text(shape, depth, logic):
+    """A formula text `depth` levels deep: parentheses around `p`, a chain
+    of prefix operators, or a chain of `&` (left-associative) or `->`
+    (right-associative)."""
+    if shape == "parens":
+        return "(" * depth + "p" + ")" * depth
+    if shape == "prefix":
+        return ("X " if logic == "ltl" else "E X ") * depth + "p"
+    return f" {shape} ".join(["p"] * (depth + 1))
+
+
+# The limit each shape reaches first: a chain of `&` nests no deeper with
+# each operator, but grows as high.
+LIMITS = {"parens": MAX_NESTING, "prefix": MAX_NESTING, "->": MAX_NESTING,
+          "&": MAX_HEIGHT}
+NESTS = f"nests deeper than {MAX_NESTING} levels"
+HIGH = f"is more than {MAX_HEIGHT} levels deep"
+
+
+class TestNestingLimit:
+    """A formula text deeper than the parser's limits is one input error;
+    a text at the limits goes through every command that reads one."""
+
+    @pytest.fixture
+    def samples(self, tmp_path):
+        ltl = tmp_path / "one.sample"
+        ltl.write_text("alphabet: p\nlogic: ltl\npos: | {p}\n")
+        ctl = tmp_path / "one-ctl.sample"
+        ctl.write_text("alphabet: p\nlogic: ctl\npos-kripke:\nstate a {p}\n"
+                       "init a\nedge a a\nend\n")
+        return {"ltl": str(ltl), "ctl": str(ctl)}
+
+    @pytest.mark.parametrize("logic, shape, depth, error, offset", [
+        ("ltl", "parens", 200, NESTS, 64), ("ctl", "parens", 150, NESTS, 64),
+        ("ltl", "prefix", 985, NESTS, 128), ("ctl", "prefix", 985, NESTS, 256),
+        ("ltl", "&", 2999, HIGH, 3202), ("ctl", "&", 2999, HIGH, 3202),
+        ("ltl", "->", 2999, NESTS, 322), ("ctl", "->", 2999, NESTS, 322)])
+    def test_a_deeper_text_is_refused(self, capsys, samples, logic, shape,
+                                      depth, error, offset):
+        code, out, err = run(capsys, "check", "--sample", samples[logic],
+                             "--formula", nested_text(shape, depth, logic))
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == (f"error: cannot parse formula: formula {error} "
+                       f"(at offset {offset})\n")
+
+    @pytest.mark.parametrize("logic", ["ltl", "ctl"])
+    @pytest.mark.parametrize("shape", ["parens", "prefix", "&", "->"])
+    def test_a_text_at_the_limit_checks_and_translates(self, capsys, samples,
+                                                       shape, logic):
+        text = nested_text(shape, LIMITS[shape], logic)
+        code, out, _ = run(capsys, "check", "--sample", samples[logic],
+                           "--formula", text)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "separating: true"
+        code, _, _ = run(capsys, "translate", "--to",
+                         "ctl" if logic == "ltl" else "ltl",
+                         "--formula", text)
+        assert code == EXIT_OK
+        if logic == "ltl":
+            assert run(capsys, "normalize", "--formula", text)[0] == EXIT_OK
+        # One level more is refused.
+        code, _, _ = run(capsys, "check", "--sample", samples[logic],
+                         "--formula", nested_text(shape, LIMITS[shape] + 1,
+                                                  logic))
+        assert code == EXIT_ERROR
+
+    def test_two_equal_branches_at_the_limit_check(self, capsys, samples):
+        # Each branch is built apart, so every memo lookup compares two
+        # equal trees as deep as the formula.
+        branch = "(" + nested_text("|", MAX_HEIGHT - 2, "ltl") + ")"
+        code, out, _ = run(capsys, "check", "--sample", samples["ltl"],
+                           "--formula", f"{branch} & {branch}")
+        assert code == EXIT_OK and out.splitlines()[-1] == "separating: true"
+
+    def test_a_text_at_the_nesting_limit_is_extracted_from(self, capsys,
+                                                           cnf_file):
+        # Parentheses keep the formula within the reduction's bound; with
+        # the right operand of its `|` they nest 64 levels.
+        code, out, _ = run(capsys, "extract", "--cnf", cnf_file, "--formula",
+                           "(" * 63 + "x1 | x2" + ")" * 63)
+        assert code == EXIT_OK and out.splitlines()[0] == "x1=1 x2=1"
+
+    @pytest.mark.parametrize("m", [120, MAX_HEIGHT + 1])
+    def test_a_long_witness_is_checked_and_extracted(self, capsys, tmp_path,
+                                                     m):
+        # The witness of an m-variable CNF is a chain of m literals, as
+        # `formula_from_valuation` prints it: the longest chain read has
+        # `MAX_HEIGHT` operators.
+        cnf, sample = tmp_path / "long.cnf", tmp_path / "long.sample"
+        cnf.write_text(f"p cnf {m} 1\n1 0\n")
+        assert run(capsys, "reduce", "sat2ltl", "--cnf", str(cnf), "--out",
+                   str(sample))[0] == EXIT_OK
+        valuation = {k: k == 1 for k in range(1, m + 1)}
+        witness = print_formula(formula_from_valuation(valuation))
+        code, out, _ = run(capsys, "check", "--sample", str(sample),
+                           "--formula", witness)
+        assert code == EXIT_OK and out.splitlines()[-1] == "separating: true"
+        code, out, _ = run(capsys, "extract", "--cnf", str(cnf), "--formula",
+                           witness)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == " ".join(
+            f"x{k}={int(valuation[k])}" for k in range(1, m + 1))
 
 
 class TestVerifyProperties:

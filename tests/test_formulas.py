@@ -10,8 +10,8 @@ from templearn import (
     subformulas, temporal_eliminate, verify,
 )
 from templearn.formulas import (
-    CtlBinary, CtlNot, CtlQuantBinary, CtlQuantUnary, LtlBinary, LtlUnary,
-    Prop, is_ctl, is_ltl, structural_key,
+    MAX_HEIGHT, MAX_NESTING, CtlBinary, CtlNot, CtlQuantBinary,
+    CtlQuantUnary, LtlBinary, LtlUnary, Prop, is_ctl, is_ltl, structural_key,
 )
 
 
@@ -125,6 +125,49 @@ class TestSyntaxErrors:
             parse(text)
         assert str(info.value) == f"{message} (at offset {position})"
         assert info.value.position == position
+
+
+class TestNestingLimit:
+    """Each pair of parentheses and each operator is one level.  A text
+    nesting deeper than `MAX_NESTING`, or deeper than `MAX_HEIGHT` with the
+    steps of its left-associative chains, fails at the token that opens the
+    level past the limit.  `test_cli.TestNestingLimit` covers each shape at
+    and past its limit."""
+
+    @pytest.mark.parametrize("parse, prefix", [
+        (parse_ltl, "X "), (parse_ctl, "! "), (parse_ctl, "A F ")],
+        ids=["ltl-next", "ctl-not", "ctl-af"])
+    def test_a_chain_counts_the_levels_of_its_left_operand(self, parse,
+                                                           prefix):
+        # The parenthesised operand is 61 levels deep, so that many fewer
+        # operators of the chain reach the height limit.
+        left = "(" + prefix * 60 + "p)"
+        parse(left + " & q" * (MAX_HEIGHT - 61))
+        text = left + " & q" * (MAX_HEIGHT - 60)
+        with pytest.raises(FormulaSyntaxError,
+                           match=f"more than {MAX_HEIGHT} levels deep") as info:
+            parse(text)
+        assert info.value.position == text.rindex("&")
+
+    def test_a_quantified_group_is_one_level(self):
+        text = "E (p U " * MAX_NESTING + "p" + ")" * MAX_NESTING
+        assert size(parse_ctl(text)) == MAX_NESTING + 1
+        deeper = "A (" + text + " U p)"
+        with pytest.raises(FormulaSyntaxError,
+                           match=f"nests deeper than {MAX_NESTING}") as info:
+            parse_ctl(deeper)
+        assert info.value.position == deeper.rindex("E")
+
+    def test_deep_equal_trees_compare_without_recursion(self):
+        # Far deeper than any parsed formula: equality walks no stack.
+        def chain(n):
+            f = Prop("p")
+            for _ in range(n):
+                f = LtlBinary("|", f, Prop("q"))
+            return f
+        assert chain(5000) == chain(5000)
+        assert chain(5000) != chain(4999)
+        assert len({chain(5000), chain(5000)}) == 1
 
 
 class TestPrinting:

@@ -798,6 +798,39 @@ class TestDistinctSignatures:
         assert stats["distinct_signatures"] == len(enum.payloads)
 
 
+class TestClosures:
+    """`closures[i]` is the bitset of the ids of candidate `i`'s distinct
+    sub-formulas, `i` included, so its popcount is the candidate's cost."""
+
+    @pytest.mark.parametrize("logic", ["ltl", "ctl"])
+    @pytest.mark.parametrize("alphabet", ["pq", "pqr"])
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_a_closure_is_the_bitset_of_its_subformula_ids(self, logic,
+                                                          alphabet, bound):
+        if logic == "ltl":
+            sample = rotation_sample(alphabet)
+        else:
+            # A loop and a two-state cycle through the same label are
+            # bisimilar, so no formula separates them.
+            sample = Sample(alphabet, "ctl", [KripkeStructure(
+                ("a",), ("a",), (("a", "a"),), (["p", "q"],))], [
+                KripkeStructure(("a", "b"), ("a",), (("a", "b"), ("b", "a")),
+                                (["p", "q"], ["p", "q"]))])
+        rows, (cost, _, enum, _) = run_search(
+            sample, LearnConfig(bound=bound, dedup=DedupMode.NONE))
+        assert cost is None
+        names = sorted(sample.alphabet)
+        builders = learner._builders(logic, rows)
+        formulas = [enum.build_formula(b, lambda i: Prop(names[i]), builders)
+                    for b in enum.builds]
+        ids = {f: i for i, f in enumerate(formulas)}
+        assert len(ids) == len(formulas)
+        for i, f in enumerate(formulas):
+            assert enum.closures[i] == sum(1 << ids[g]
+                                           for g in subformulas(f))
+            assert enum.closures[i].bit_count() == size(f)
+
+
 class TestCtlLearning:
     def structures(self):
         good = KripkeStructure(("a", "b"), ("a",),

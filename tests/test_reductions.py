@@ -10,6 +10,8 @@ from templearn import (
     parse_dimacs, parse_ltl, reduce_ltl_to_ctl, reduce_sat, sat_oracle,
     size, verify, write_dimacs,
 )
+from templearn import reductions
+from templearn.formulas import LtlBinary
 from templearn.reductions import satisfies
 
 
@@ -264,6 +266,22 @@ class TestExtractValuation:
     def test_non_separating_formula_is_rejected(self):
         with pytest.raises(ExtractionError, match="separate"):
             extract_valuation(parse_ltl("x1 & x2"), self.CNF)
+
+    @pytest.mark.parametrize("name, fault, message", [
+        ("temporal_eliminate",
+         lambda real: lambda f: LtlBinary("|", real(f), real(f)),
+         "the temporal-free image is not concise"),
+        ("satisfies", lambda real: lambda cnf, valuation: False,
+         "the extracted assignment does not satisfy the CNF"),
+    ], ids=["image-not-concise", "assignment-unsatisfying"])
+    def test_a_planted_fault_is_an_internal_error(self, monkeypatch, caplog,
+                                                  name, fault, message):
+        monkeypatch.setattr(reductions, name,
+                            fault(getattr(reductions, name)))
+        with pytest.raises(RuntimeError, match="^internal error: " + message):
+            extract_valuation(parse_ltl("x1 | x2 | x3"), self.CNF)
+        assert [(r.name, r.levelname) for r in caplog.records] == [
+            ("templearn.reductions", "ERROR")]
 
 
 class TestRoundTripProperty:

@@ -68,6 +68,23 @@ belongs to a concrete formula of that cost), so pruning can never produce a
 false positive or an undersized answer; the exhaustive NONE mode keeps
 every candidate and serves as the reference oracle that the test suite
 checks SEMANTIC mode against.
+
+In SEMANTIC mode the layers below the bound, like the final one, skip two
+kinds of application whose signature is known without composing them.
+Both are still counted in `candidates_generated`, so every output and count
+is that of the full schedule.  The mirror `(d, nid)` of a pair `(nid, d)` of
+`&`, `|` or `<->` would sit right after the pair with its signature, so it
+is never the first of its signature; when the pair wins, its mirror joins
+the winners right after it.  A self-pair `x • x` of an idempotent row (`&`,
+`|`, `U`, `R`, `W`, `M`, under either quantifier) has the signature of `x`,
+seen when `x` was registered, and a registered candidate never separates:
+it was kept from before its layer's first winner, and the search stops
+after a winning layer.  `x -> x` and `x <-> x` are composed: their
+signature, true everywhere, is known only because SEMANTIC mode keeps `p ->
+p` from layer 2, and a sound pruning rule that drops a candidate only when
+its signature is among its operands' would keep them.  NONE mode and
+`enumerate_formulas` schedule everything: there a mirror is a formula of
+its own that is registered and expanded.
 """
 
 from __future__ import annotations
@@ -161,14 +178,32 @@ class ClosureEnumeration:
     for ``d`` in ``partners`` and their mirrors ``(d, nid)`` for ``d !=
     nid``.  :meth:`top_triples` lists a share in schedule order.
 
+    ``commuting`` and ``idempotent`` are sets of binary opcodes whose
+    applications below ``max_size`` are counted in ``generated`` but never
+    scheduled: the mirror ``(op, d, nid)`` of each pair ``(op, nid, d)`` of
+    a commuting opcode, and the self-pair ``(op, nid, nid)`` of an
+    idempotent one.  Only a caller that reads their signatures off other
+    candidates passes them; by default every application is scheduled.
+
     ``run()`` yields each completed cost layer, ``max_size`` included.
     """
 
     def __init__(self, seed_payloads, n_unary, n_binary, max_size, layer,
-                 visit_top):
+                 visit_top, commuting=frozenset(), idempotent=frozenset()):
         self.seed_payloads = list(seed_payloads)
         self.n_unary = n_unary
         self.n_ops = n_unary + n_binary
+        binary = range(n_unary, self.n_ops)
+        # The binary applications a registration schedules below the final
+        # layer, in schedule order: per partner `d` the pairs `(op, nid, d)`
+        # and, unless `op` commutes, `(op, d, nid)` (flip set); per
+        # registration the self-pairs of the rows that are not idempotent.
+        self._pairs = [(op, flip) for op in binary for flip in (
+            (False,) if op in commuting else (False, True))]
+        self._selves = [op for op in binary if op not in idempotent]
+        # The mirrors skipped per partner, the self-pairs per registration.
+        self._skip_per_partner = 2 * n_binary - len(self._pairs)
+        self._skip_per_registration = n_binary - len(self._selves)
         self.max_size = max_size
         self.layer = layer
         self.visit_top = visit_top
@@ -180,6 +215,7 @@ class ClosureEnumeration:
         # unary and (min, max) for binary candidates.
         self._by_operands: dict = {}
         self._buckets: list = []
+        self._skipped: list = []  # per cost, the applications not scheduled
 
     def run(self):
         ms = self.max_size
@@ -187,12 +223,13 @@ class ClosureEnumeration:
             return
         buckets = self._buckets = [[] for _ in range(ms + 1)]
         buckets[1] = [(-1, i, -1) for i in range(len(self.seed_payloads))]
+        skipped = self._skipped = [0] * (ms + 1)
         closures = self.closures
         for cost in range(1, ms + 1):
             triples = buckets[cost]
             buckets[cost] = None
+            self.generated += len(triples) + skipped[cost]
             if triples:  # the last bucket stays empty
-                self.generated += len(triples)
                 keep, payloads = self.layer(cost, triples)
                 for i, payload in zip(keep, payloads):
                     opcode, left, right = triples[i]
@@ -235,9 +272,13 @@ class ClosureEnumeration:
         if not binary:
             return
         subs = _bit_ids(union)
-        bucket += [t for d in subs for op in binary
-                   for t in ((op, nid, d), (op, d, nid))]
-        bucket += [(op, nid, nid) for op in binary]
+        pairs = self._pairs
+        bucket += [(op, d, nid) if flip else (op, nid, d)
+                   for d in subs for op, flip in pairs]
+        bucket += [(op, nid, nid) for op in self._selves]
+        skipped = self._skipped
+        skipped[cost + 1] += (len(subs) * self._skip_per_partner
+                              + self._skip_per_registration)
         # Pairs with an earlier candidate outside this one's closure cost
         # their union's size plus one; the union has this closure's own
         # size exactly when the partner lies inside the closure.  Costs
@@ -248,8 +289,10 @@ class ClosureEnumeration:
             counts = [(closure | c).bit_count() for c in self.closures]
             for g, k in enumerate(counts):
                 if cost < k < ms - 1:
-                    self._buckets[k + 1] += [t for op in binary for t in
-                                             ((op, nid, g), (op, g, nid))]
+                    self._buckets[k + 1] += [(op, g, nid) if flip
+                                             else (op, nid, g)
+                                             for op, flip in pairs]
+                    skipped[k + 1] += self._skip_per_partner
             top = [g for g, k in enumerate(counts) if k == ms - 1]
         else:
             # Every union reaches the final layer, and it is one id larger
@@ -258,7 +301,7 @@ class ClosureEnumeration:
             ids = [-1, *subs]
             top = sorted(g for i, a in enumerate(ids) for b in ids[i:]
                          for g in by_operands.get((a, b), ())
-                         if not union >> g & 1)
+                         if g not in subs)
         if top:
             self.generated += 2 * len(binary) * len(top)
             self.visit_top(nid, False, top)
@@ -377,6 +420,9 @@ _LANE_CAP = 4096
 # lane's own signature.
 _COMMUTING = frozenset((op, None) for op in (AND, OR, IFF))
 
+# The binary tokens whose rows, under either quantifier, map `(a, a)` to `a`.
+_IDEMPOTENT = (AND, OR, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
+
 
 def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                 bound, semantic, exhaust=False):
@@ -395,6 +441,14 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     seed_sigs = [domain.prop_vector(name) for name in names]
     winners: dict = {}
     distinct: set = set()  # the signatures of the layers composed so far
+    binary = range(n_unary, len(fns))
+    commuting = [op for op in binary if all_rows[op] in _COMMUTING]
+    ordered = [op for op in binary if all_rows[op] not in _COMMUTING]
+    # In SEMANTIC mode the layers below the bound skip the mirrors of the
+    # commuting rows and the self-pairs of the idempotent ones.
+    mirrored = frozenset(commuting) if semantic else frozenset()
+    idempotent = frozenset(op for op in binary if semantic
+                           and all_rows[op][0] in _IDEMPOTENT)
 
     def layer(cost, triples):
         # Every separating candidate of the layer wins.  Without a fixed
@@ -408,8 +462,15 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
             won = {sig for sig in first
                    if sig & screen == pos_mask and is_separating(sig)}
             if won:
-                winners[cost] = [t for t, sig in zip(triples, sigs)
-                                 if sig in won]
+                # A skipped mirror wins with its forward pair, just after
+                # it, where the full schedule would have placed it.
+                found = winners[cost] = []
+                for t, sig in zip(triples, sigs):
+                    if sig in won:
+                        found.append(t)
+                        op, a, b = t
+                        if op in mirrored and a != b:
+                            found.append((op, b, a))
                 if not exhaust:
                     stop = min(map(first.__getitem__, won))
         new = first.keys() - distinct
@@ -429,9 +490,6 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     encoded: list = []  # payloads[i] as one lane's bytes
     width = domain.lane_bytes
     bits = 8 * width
-    binary = range(n_unary, len(fns))
-    commuting = [op for op in binary if all_rows[op] in _COMMUTING]
-    ordered = [op for op in binary if all_rows[op] not in _COMMUTING]
 
     def visit_top(nid, unary, partners):
         if unary:
@@ -499,7 +557,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         unary_ids.clear()
 
     enum = ClosureEnumeration(seed_sigs, n_unary, len(binary_rows), bound,
-                              layer, visit_top)
+                              layer, visit_top, mirrored, idempotent)
     payloads = enum.payloads
     for cost in enum.run():
         if cost == bound:
@@ -541,9 +599,6 @@ def _pick_witness(enum, triples, names, logic, rows):
     builders = _builders(logic, rows)
     return min((enum.build_formula(t, lambda i: Prop(names[i]), builders)
                 for t in triples), key=structural_key)
-
-
-_IDEMPOTENT = (AND, OR, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
 
 
 def _pad_witness(witness, gap, logic, rows, trivial):

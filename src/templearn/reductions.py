@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .formulas import (
     AND, IFF, IMPLIES, OR,
-    Formula, LtlBinary, Prop, prop_names, size,
+    Formula, LtlBinary, Prop, size,
 )
 from .models import LTL, Sample, Word, embed_word
 from .semantics import LtlDomain, check_separating
@@ -212,7 +212,10 @@ def _literals(f, used, blocks) -> dict:
     One domain classifies every sub-formula: bit 0 is the empty word and
     the rest the consistency words of the used blocks.  A sub-formula has
     polarity +1 when it accepts the words of its own blocks and rejects the
-    empty word, -1 in the reversed pattern, and none otherwise.
+    empty word, -1 in the reversed pattern, and none otherwise.  One
+    bottom-up pass gives every sub-formula the mask of its blocks, and the
+    evaluations share one cache, which the first, of `f` itself, fills: the
+    extraction is linear in the size of `f`.
     """
     block_of: dict = {}
     for k, members in blocks.items():
@@ -225,12 +228,20 @@ def _literals(f, used, blocks) -> dict:
     ids = sorted({block_of[name] for name in used})
     domain = LtlDomain([_EMPTY_WORD] + [_block_words(k) for k in ids])
     bit = {k: 2 << i for i, k in enumerate(ids)}
+    vectors: dict = {}  # shared by every evaluation below
+    masks: dict = {}  # sub-formula -> bit 0 and the bits of its blocks
+
+    def block_mask(g) -> int:
+        if type(g) is Prop:
+            mask = 1 | bit[block_of[g.name]]
+        else:
+            mask = block_mask(g.left) | block_mask(g.right)
+        masks[g] = mask
+        return mask
 
     def polarity(g) -> int:
-        mask = 1
-        for name in prop_names(g):
-            mask |= bit[block_of[name]]
-        v = domain.evaluate(g) & mask
+        mask = masks[g]
+        v = domain.evaluate(g, vectors) & mask
         if v == mask ^ 1:
             return 1
         if v == 1:
@@ -259,6 +270,7 @@ def _literals(f, used, blocks) -> dict:
         walk(g.left, pl)
         walk(g.right, pr)
 
+    block_mask(f)
     if polarity(f) != 1:
         raise ExtractionError("the formula must accept its consistency "
                               "words and reject the empty word")

@@ -187,11 +187,14 @@ class _Fixpoints:
                quantifier: str | None = None) -> int:
         return OPERATOR_TABLE[op, quantifier](self)(a, b)
 
-    def evaluate(self, f: Formula) -> int:
+    def evaluate(self, f: Formula, cache: dict | None = None) -> int:
         """The vector of `f`: each node's row `(op, quantifier)` applied to
         its operands' vectors through :meth:`unary` or :meth:`binary`.  A
-        node of the other logic raises `TypeError`."""
-        cache: dict = {}
+        node of the other logic raises `TypeError`.  `cache` maps nodes to
+        their vectors and is extended; calls that share one evaluate each
+        node once."""
+        if cache is None:
+            cache = {}
         foreign = CTL if self.logic == LTL else LTL
 
         def go(g) -> int:

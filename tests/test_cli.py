@@ -236,7 +236,7 @@ class TestLearn:
         assert d1 == d2
 
 
-# `learn --json` outside `timing`, recorded for three searches; the sample
+# `learn --json` outside `timing`, recorded for four searches; the sample
 # path is filled in per run.  The last sample has a separator of size 4
 # that the default search misses (ROADMAP item 1); `--no-dedup` finds it.
 _THREE_PROPOSITIONS = """alphabet: p, q, r
@@ -256,6 +256,9 @@ _GOLDEN_LEARN = {
     "example1-exactly": (("--sample", "example1", "--exactly"), _EXAMPLE1_SHA,
                          5, "exactly", "semantic", "x1 | (x3 | x2)", 5, 4150,
                          64),
+    # `|` alone: layer 2 holds only self-pairs, skipped but counted.
+    "example1-or": (("--sample", "example1", "--ops", "OR"), _EXAMPLE1_SHA, 5,
+                    "at_most", "semantic", "x1 | (x3 | x2)", 5, 224, 20),
     "three-props-no-dedup": (
         ("--sample", "three-props", "--no-dedup"),
         "32da21fa2e8a2fa34771e81da613f0048e2681961af5bf5603f438d28c72d566",

@@ -1,5 +1,6 @@
 """Minimal separating formula search."""
 
+import functools
 import hashlib
 import random
 
@@ -12,8 +13,12 @@ from templearn import (
     reduce_sat, size, verify,
 )
 from templearn import learner
-from templearn.formulas import LtlBinary, LtlUnary, Prop, subformulas
+from templearn.formulas import (
+    AND, OR, STRONG_RELEASE, UNTIL, WEAK_UNTIL, LtlBinary, LtlUnary, Prop,
+    subformulas,
+)
 from templearn.learner import _build_domain
+from templearn.semantics import OPERATOR_TABLE, CtlDomain, LtlDomain
 
 
 def word(text):
@@ -358,7 +363,6 @@ class TestPruningUnderDagSize:
         # Its final layer overflows the lane cap of the packed temporal
         # rows many times, so the search composes it in many flushes.
         from templearn.learner import _LANE_CAP
-        from templearn.semantics import LtlDomain
         lanes = []
         real = LtlDomain.lanes
         monkeypatch.setattr(LtlDomain, "lanes",
@@ -545,7 +549,6 @@ class TestFlushBoundaries:
     into flushes: one share per flush, a few lanes, or the default cap."""
 
     def outcomes(self, monkeypatch, cap):
-        from templearn.semantics import CtlDomain, LtlDomain
         calls = []
         for cls in (LtlDomain, CtlDomain):
             real = cls.lanes
@@ -734,6 +737,195 @@ class TestFinalLayerWinners:
             winners += len(want)
             if k >= 2 and winners:
                 break
+
+
+# The enumerator class itself, before any test replaces it.
+_ENUMERATION = learner.ClosureEnumeration
+
+
+class FullSchedule(_ENUMERATION):
+    """The enumerator with empty skip sets: it schedules every
+    application, as it does outside SEMANTIC mode."""
+
+    def __init__(self, *args):
+        super().__init__(*args[:6])
+
+
+def schedule_trace(monkeypatch, sample, config, base):
+    """The first search `learn` runs on `sample`, by the enumerator class
+    `base`: its rows, its registered builds, winner set, `generated` and
+    `distinct`, and the triples it composed below the bound, in order."""
+    composed = []
+
+    class Traced(base):
+        def compose(self, fns, triples):
+            composed.extend(triples)
+            return super().compose(fns, triples)
+
+    monkeypatch.setattr(learner, "ClosureEnumeration", Traced)
+    rows, (cost, winners, enum, stats) = run_search(sample, config)
+    return rows, (cost, enum.builds, set(winners),
+                  stats["candidates_generated"],
+                  stats["distinct_signatures"]), composed
+
+
+SKIP_OPERATORS = {"or": OperatorSet.from_names(["|"]),
+                  "and-or": OperatorSet.from_names(["&", "|"]),
+                  "implies-until": OperatorSet.from_names(["->", "U"]),
+                  "full": OperatorSet.full()}
+
+
+@functools.lru_cache(maxsize=None)
+def skip_samples(ops):
+    """LTL samples over two and three propositions, and CTL samples whose
+    first negative has two initial states, at each bound from 2 to 5.  They
+    are drawn until the default search over `SKIP_OPERATORS[ops]` finds no
+    separator below the bound, so that it runs every layer below it, or for
+    half of those at bounds 4 and 5, until it finds one of size 3 or more
+    below the bound, in a layer where pairs are composed."""
+    rng = random.Random(2024)
+    draws = [lambda: random_sample(rng, ("p", "q")),
+             lambda: random_sample(rng, ("p", "q", "r")),
+             lambda: lasso_sample(rng, 8), lambda: kripke_sample(rng, 20)]
+    config = LearnConfig(operators=SKIP_OPERATORS[ops])
+    samples = []
+    for bound in (2, 3, 4, 5):
+        for k, draw in enumerate(draws * 2):
+            lower = k >= len(draws) and bound > 3
+            while True:
+                try:
+                    s = draw()
+                except ValueError:  # a structure drawn on both sides
+                    continue
+                s = Sample(s.alphabet, s.logic, s.positives, s.negatives,
+                           bound=bound)
+                size = learn(s, config).size or bound
+                if (2 < size < bound) == lower and (lower or size == bound):
+                    break
+            samples.append((f"{s.logic}-{k}-{bound}", s))
+    return tuple(samples)
+
+
+def skipped_below_the_bound(rows, triple):
+    """Is `triple` an application the SEMANTIC schedule skips: the mirror
+    `(op, d, nid)` of a commuting row, `d` the older operand, or the
+    self-pair of an idempotent row?"""
+    op, a, b = triple
+    if b < 0:
+        return False
+    row = (rows[0] + rows[1])[op]
+    return (row in learner._COMMUTING and a < b
+            or row[0] in learner._IDEMPOTENT and a == b)
+
+
+class TestKnownSignatureSkips:
+    """Below the final layer SEMANTIC mode composes no mirror of a commuting
+    row and no self-pair of an idempotent one, and its search is that of
+    the full schedule: the same registered builds in the same order, the
+    same winners and the same counts."""
+
+    @pytest.mark.parametrize("ops", sorted(SKIP_OPERATORS))
+    def test_the_skipping_schedule_matches_the_full_one(self, monkeypatch,
+                                                        ops):
+        config = LearnConfig(operators=SKIP_OPERATORS[ops])
+        skipped = mirrors_won = 0
+        for name, sample in skip_samples(ops):
+            rows, full, every = schedule_trace(monkeypatch, sample, config,
+                                               FullSchedule)
+            _, skipping, composed = schedule_trace(monkeypatch, sample,
+                                                   config, _ENUMERATION)
+            assert skipping == full, name
+            kept = [t for t in every if not skipped_below_the_bound(rows, t)]
+            assert composed == kept, name
+            skipped += len(every) - len(kept)
+            cost, _, winners = full[:3]
+            if cost is not None and cost < sample.bound:
+                mirrors_won += sum(skipped_below_the_bound(rows, t)
+                                   for t in winners)
+        assert skipped
+        # A winner below the bound that the skipping schedule never
+        # composed: a mirror that joined the winners beside its pair.
+        assert mirrors_won or not any(row in learner._COMMUTING
+                                      for row in rows[1])
+
+    @pytest.mark.parametrize("mode", list(BoundMode))
+    @pytest.mark.parametrize("ops", sorted(SKIP_OPERATORS))
+    def test_outcomes_match_the_full_schedule(self, monkeypatch, ops, mode):
+        config = LearnConfig(operators=SKIP_OPERATORS[ops], bound_mode=mode)
+
+        def outcomes(base):
+            monkeypatch.setattr(learner, "ClosureEnumeration", base)
+            return [(out.decision, out.witness, out.size,
+                     out.stats["candidates_generated"],
+                     out.stats["distinct_signatures"])
+                    for out in (learn(s, config)
+                                for _, s in skip_samples(ops))]
+
+        assert outcomes(_ENUMERATION) == outcomes(FullSchedule)
+
+    def test_none_mode_schedules_everything(self, monkeypatch):
+        config = LearnConfig(dedup=DedupMode.NONE)
+        for name, sample in skip_samples("full"):
+            if sample.bound < 4:
+                _, full, every = schedule_trace(monkeypatch, sample, config,
+                                                FullSchedule)
+                _, none, composed = schedule_trace(monkeypatch, sample,
+                                                   config, _ENUMERATION)
+                assert (none, composed) == (full, every), name
+
+
+def identity_violations(rng):
+    """The `_COMMUTING` rows with `op(a, b) != op(b, a)`, and the
+    `_IDEMPOTENT` rows, each quantifier of CTL included, with `op(a, a) !=
+    a`, on random vectors over random lasso and structure domains and over
+    lane views of them."""
+    domains = []
+    for _ in range(4):
+        domains.append(LtlDomain(distinct_words(rng, rng.randint(2, 14))))
+        domains.append(CtlDomain([kripke(rng, rng.randint(2, 5),
+                                         rng.randint(1, 2))
+                                  for _ in range(rng.randint(1, 4))]))
+    domains += [d.lanes(k) for d in domains for k in (2, 5)]
+    bad = set()
+    for d in domains:
+        n = d.full.bit_length()
+        pairs = [(rng.getrandbits(n) & d.full, rng.getrandbits(n) & d.full)
+                 for _ in range(25)]
+        for row in learner._COMMUTING:
+            fn = d.op(*row)
+            if any(fn(a, b) != fn(b, a) for a, b in pairs):
+                bad.add(row)
+        for token in learner._IDEMPOTENT:
+            temporal = d.logic == "ctl" and token not in (AND, OR)
+            for q in ("E", "A") if temporal else (None,):
+                fn = d.op(token, q)
+                if any(fn(a, a) != a for a, _ in pairs):
+                    bad.add((token, q))
+    return bad
+
+
+class TestSkippedIdentities:
+    """The skips rest on `semantics.OPERATOR_TABLE` itself: every
+    `_COMMUTING` row commutes and every `_IDEMPOTENT` row maps `(a, a)` to
+    `a`."""
+
+    def test_the_table_satisfies_them(self):
+        assert identity_violations(random.Random(5)) == set()
+
+    @pytest.mark.parametrize("row, planted", [
+        ((AND, None), lambda real: lambda d: lambda a, b: real(d)(
+            d.full ^ a, b)),
+        ((UNTIL, None), lambda real: lambda d: lambda a, b: d.full ^ real(d)(
+            a, b)),
+        ((STRONG_RELEASE, "A"), lambda real: lambda d: lambda a, b:
+         d.full ^ real(d)(a, b)),
+        ((WEAK_UNTIL, "E"), lambda real: lambda d: lambda a, b: real(d)(
+            d.full ^ a, b)),
+    ], ids=["and-operand", "until", "A-release", "E-weak"])
+    def test_a_planted_row_fails(self, monkeypatch, row, planted):
+        monkeypatch.setitem(OPERATOR_TABLE, row,
+                            planted(OPERATOR_TABLE[row]))
+        assert row in identity_violations(random.Random(5))
 
 
 def rotation_sample(alphabet="pq"):

@@ -13,6 +13,7 @@ from templearn import (
 from templearn import reductions
 from templearn.formulas import LtlBinary
 from templearn.reductions import satisfies
+from templearn.semantics import LtlDomain
 
 
 class TestCnfInstance:
@@ -266,6 +267,25 @@ class TestExtractValuation:
     def test_non_separating_formula_is_rejected(self):
         with pytest.raises(ExtractionError, match="separate"):
             extract_valuation(parse_ltl("x1 & x2"), self.CNF)
+
+    def test_extraction_is_linear_in_the_witness(self, monkeypatch):
+        # Every sub-formula is evaluated once, so the operator applications
+        # grow with the chain witness, not with its square.
+        calls = []
+        real = LtlDomain.binary
+        monkeypatch.setattr(LtlDomain, "binary",
+                            lambda d, *args: calls.append(1) or real(d, *args))
+        counts = {}
+        for m in (200, 800):
+            valuation = {k: k % 3 != 0 for k in range(1, m + 1)}
+            cnf = CnfInstance(m, [[k if valuation[k] else -k]
+                                  for k in range(1, m + 1)])
+            calls.clear()
+            assert extract_valuation(formula_from_valuation(valuation),
+                                     cnf) == valuation
+            counts[m] = len(calls)
+            assert counts[m] < 3 * m
+        assert counts[800] < 5 * counts[200]
 
     @pytest.mark.parametrize("name, fault, message", [
         ("temporal_eliminate",

@@ -29,13 +29,23 @@ same-signature candidates is kept: in SEMANTIC mode the first of each new
 signature, and none from the layer's first separating candidate on, so
 that a search that has its answer expands nothing further.
 
+A layer's kept candidates are registered in one pass, and candidates
+with the same operand union `S` (the closure less the candidate's own id,
+so they share their cost `|S| + 1`) share its bookkeeping: the ids of `S`,
+and the union sizes `|S ∪ closure(g)| + 1` over the older candidates `g`,
+for none of which a member is a sub-formula.  Each later member sizes only
+the candidates registered since the previous one.
+
 Candidates of exactly the bound are never registered, yet they are most of
-the search.  Each registration hands its share of them over at once, as
-lists of operand ids.  A partner of a registration two below the bound
-completes it in the final layer when the partner lies outside its closure
-and the partner's operands inside, so those partners are looked up by their
-operands rather than found by a popcount over every earlier candidate.  The
-shares only queue operand ids, and only of their forward pairs `(nid, d)`:
+the search.  Each layer hands the registrations' shares of them over in
+one batch, as lists of operand ids.  A partner of a registration two below
+the bound completes it in the final layer when the partner lies outside
+its closure and the partner's operands inside.  Such partners are looked
+up by their operands, once per operand union rather than by a popcount
+over every earlier candidate: the only candidates of the layer with their
+operands in `S` are the other members of `S`, which join the list as they
+are registered.  The shares only queue operand ids, and only of their
+forward pairs `(nid, d)`:
 every such pair with `d != nid` has its mirror `(d, nid)` in the final
 layer too.  A flush runs each operator row of the table once over the
 queue, packed side by side in the lanes of one int (`domain.lanes`): one
@@ -171,12 +181,15 @@ class ClosureEnumeration:
 
     Candidates of exactly ``max_size`` are never registered.  They form the
     final and by far the largest layer, so they are not materialized one by
-    one: each registration hands its share of them to ``visit_top(nid,
-    unary, partners)`` in one call, the moment they are scheduled and out
-    of cost order.  The share is every unary opcode applied to ``nid`` when
-    ``unary`` is set, and for every binary opcode the pairs ``(nid, d)``
-    for ``d`` in ``partners`` and their mirrors ``(d, nid)`` for ``d !=
-    nid``.  :meth:`top_triples` lists a share in schedule order.
+    one: each layer hands its registrations' shares of them to
+    ``visit_top(nids, unary, partner_lists)`` in one call, once the layer
+    is registered and out of cost order.  The share of ``nids[i]`` is
+    every unary opcode applied to it when ``unary`` is set, and for every
+    binary opcode the pairs ``(nids[i], d)`` for ``d`` in
+    ``partner_lists[i]`` and their mirrors ``(d, nids[i])`` for ``d !=
+    nids[i]``; ``partner_lists`` is an iterable, read once, in step with
+    ``nids``.  A registration with no share is left out.
+    :meth:`top_triples` lists a batch in schedule order.
 
     ``commuting`` and ``idempotent`` are sets of binary opcodes whose
     applications below ``max_size`` are counted in ``generated`` but never
@@ -211,8 +224,8 @@ class ClosureEnumeration:
         self.payloads: list = []
         self.closures: list = []
         self.builds: list = []  # (opcode, left, right); seeds (-1, index, -1)
-        # Pairable ids by their operands: (-1, -1) for seeds, (-1, a) for
-        # unary and (min, max) for binary candidates.
+        # The ids below cost `max_size - 2` by their operands: (-1, -1)
+        # for seeds, (-1, a) for unary and (min, max) for binary ones.
         self._by_operands: dict = {}
         self._buckets: list = []
         self._skipped: list = []  # per cost, the applications not scheduled
@@ -224,22 +237,14 @@ class ClosureEnumeration:
         buckets = self._buckets = [[] for _ in range(ms + 1)]
         buckets[1] = [(-1, i, -1) for i in range(len(self.seed_payloads))]
         skipped = self._skipped = [0] * (ms + 1)
-        closures = self.closures
         for cost in range(1, ms + 1):
             triples = buckets[cost]
             buckets[cost] = None
             self.generated += len(triples) + skipped[cost]
             if triples:  # the last bucket stays empty
                 keep, payloads = self.layer(cost, triples)
-                for i, payload in zip(keep, payloads):
-                    opcode, left, right = triples[i]
-                    union = 0
-                    if opcode >= 0:
-                        union = closures[left]
-                        if right >= 0:
-                            union |= closures[right]
-                    self._register(opcode, left, right, payload, union,
-                                   cost)
+                self._register_layer(cost, list(map(triples.__getitem__,
+                                                    keep)), payloads)
             yield cost
 
     def compose(self, fns, triples) -> list:
@@ -251,76 +256,119 @@ class ClosureEnumeration:
         return [fns[op](pay[a]) if b < 0 else fns[op](pay[a], pay[b])
                 for op, a, b in triples]
 
-    def _register(self, opcode, left, right, payload, union, cost):
-        nid = len(self.payloads)
-        closure = union | 1 << nid
-        self.payloads.append(payload)
-        self.closures.append(closure)
-        self.builds.append((opcode, left, right))
+    def _register_layer(self, cost, kept, payloads):
+        """Register a layer's kept triples in order, giving each the next
+        id, and schedule their applications.  Candidates with the same
+        operand union `S`, the closure less the candidate's own id, share
+        the ids of `S` and, below ``max_size - 2``, the sizes of their
+        unions with the older candidates; at ``max_size - 2`` they share
+        their final-layer partners."""
+        closures = self.closures
+        nids = range(len(closures), len(closures) + len(kept))
+        unions = [closures[a] | closures[b] if b >= 0
+                  else closures[a] if op >= 0 else 0 for op, a, b in kept]
+        closures += [u | 1 << nid for u, nid in zip(unions, nids)]
+        self.payloads += payloads
+        self.builds += kept
         ms = self.max_size
+        n_unary = self.n_unary
+        n_binary = self.n_ops - n_unary
         if cost == ms:
             return
-        binary = range(self.n_unary, self.n_ops)
         if cost == ms - 1:
-            # Every application to this candidate reaches the final layer.
-            subs = _bit_ids(closure) if binary else []
-            self.generated += self.n_unary + len(binary) * (2 * len(subs) - 1)
-            self.visit_top(nid, True, subs)
+            # Every application reaches the final layer: the partners of
+            # `nid` are the ids of its closure, its own id last.
+            if n_binary:
+                ids = {u: _bit_ids(u) for u in set(unions)}
+                self.generated += n_binary * (2 * sum(
+                    len(ids[u]) for u in unions) + len(kept))
+                shares = (ids[u] + [nid] for u, nid in zip(unions, nids))
+            else:
+                shares = [[]] * len(kept)
+            self.generated += len(kept) * n_unary
+            self.visit_top(nids, True, shares)
             return
         bucket = self._buckets[cost + 1]
-        bucket += [(op, nid, -1) for op in range(self.n_unary)]
-        if not binary:
+        unary = range(n_unary)
+        if not n_binary:
+            bucket += [(op, nid, -1) for nid in nids for op in unary]
             return
-        subs = _bit_ids(union)
-        pairs = self._pairs
-        bucket += [(op, d, nid) if flip else (op, nid, d)
-                   for d in subs for op, flip in pairs]
-        bucket += [(op, nid, nid) for op in self._selves]
-        skipped = self._skipped
-        skipped[cost + 1] += (len(subs) * self._skip_per_partner
-                              + self._skip_per_registration)
-        # Pairs with an earlier candidate outside this one's closure cost
-        # their union's size plus one; the union has this closure's own
-        # size exactly when the partner lies inside the closure.  Costs
-        # never decrease, so every registered id is a partner here; this
-        # one's own entry gives that size too, and schedules nothing.
+        buckets, skipped = self._buckets, self._skipped
+        pairs, selves = self._pairs, self._selves
+        per_partner = self._skip_per_partner
+        per_registration = self._skip_per_registration
         by_operands = self._by_operands
-        if cost < ms - 2:
-            counts = [(closure | c).bit_count() for c in self.closures]
-            for g, k in enumerate(counts):
-                if cost < k < ms - 1:
-                    self._buckets[k + 1] += [(op, g, nid) if flip
-                                             else (op, nid, g)
-                                             for op, flip in pairs]
-                    skipped[k + 1] += self._skip_per_partner
-            top = [g for g, k in enumerate(counts) if k == ms - 1]
-        else:
-            # Every union reaches the final layer, and it is one id larger
-            # than the closure when the partner lies outside the closure
-            # and its operands inside: closures are down-closed.
-            ids = [-1, *subs]
-            top = sorted(g for i, a in enumerate(ids) for b in ids[i:]
-                         for g in by_operands.get((a, b), ())
-                         if g not in subs)
-        if top:
-            self.generated += 2 * len(binary) * len(top)
-            self.visit_top(nid, False, top)
-        key = ((-1, -1) if opcode < 0 else (-1, left) if right < 0
-               else (min(left, right), max(left, right)))
-        by_operands.setdefault(key, []).append(nid)
+        below = cost < ms - 2
+        # Per union `S`: its ids and its members' final-layer partners, a
+        # list whose prefixes are the members' shares.  At `ms - 2` a
+        # partner lies outside `S` with its operands inside, which among
+        # this layer's candidates only the members of `S` do, so each
+        # member joins the list for the next.  Below `ms - 2`, also the
+        # older candidates `g` outside `S` by `|S ∪ closure(g)|`, from
+        # `cost` to `ms - 2` (the partners), and how many ids are sized
+        # so far: a member's union with `closure(g)` has one more id, its
+        # own, so the pair costs `|S ∪ closure(g)| + 2`.
+        groups: dict = {}
+        share_ids, cuts = [], []
+        for nid, u in zip(nids, unions):
+            group = groups.get(u)
+            if group is None:
+                subs = _bit_ids(u)
+                if below:
+                    sized = {j: [] for j in range(cost, ms - 1)}
+                    group = [subs, sized[ms - 2], sized, 0]
+                else:
+                    ids = [-1, *subs]
+                    group = [subs, sorted(
+                        g for i, a in enumerate(ids) for b in ids[i:]
+                        for g in by_operands.get((a, b), ())
+                        if not u >> g & 1)]
+                groups[u] = group
+            subs, top = group[:2]
+            bucket += [(op, nid, -1) for op in unary]
+            bucket += [(op, d, nid) if flip else (op, nid, d)
+                       for d in subs for op, flip in pairs]
+            bucket += [(op, nid, nid) for op in selves]
+            skipped[cost + 1] += len(subs) * per_partner + per_registration
+            if below:
+                sized, done = group[2:]
+                sizes = [(u | c).bit_count() for c in closures[done:nid]]
+                for j, gs in sized.items():
+                    gs += [g for g, x in enumerate(sizes, done) if x == j]
+                group[3] = nid
+                for j in range(cost, ms - 2):
+                    if gs := sized[j]:
+                        buckets[j + 2] += [(op, g, nid) if flip
+                                           else (op, nid, g)
+                                           for g in gs for op, flip in pairs]
+                        skipped[j + 2] += per_partner * len(gs)
+            if top:
+                share_ids.append(nid)
+                cuts.append((top, len(top)))
+            if not below:
+                top.append(nid)
+        if share_ids:
+            self.generated += 2 * n_binary * sum(n for _, n in cuts)
+            self.visit_top(share_ids, False, (top[:n] for top, n in cuts))
+        if below:  # only the layer at `ms - 2` looks partners up
+            for nid, (op, a, b) in zip(nids, kept):
+                key = ((-1, -1) if op < 0 else (-1, a) if b < 0
+                       else (min(a, b), max(a, b)))
+                by_operands.setdefault(key, []).append(nid)
 
-    def top_triples(self, nid, unary, partners):
-        """The (opcode, left, right) triples of one ``visit_top`` share, in
+    def top_triples(self, nids, unary, partner_lists):
+        """The (opcode, left, right) triples of one ``visit_top`` batch, in
         the order they were scheduled."""
-        if unary:
-            for op in range(self.n_unary):
-                yield op, nid, -1
         binary = range(self.n_unary, self.n_ops)
-        for d in partners:
-            for op in binary:
-                yield op, nid, d
-                if d != nid:
-                    yield op, d, nid
+        for nid, partners in zip(nids, partner_lists):
+            if unary:
+                for op in range(self.n_unary):
+                    yield op, nid, -1
+            for d in partners:
+                for op in binary:
+                    yield op, nid, d
+                    if d != nid:
+                        yield op, d, nid
 
     def build_formula(self, triple, seed_builder, op_builders) -> Formula:
         """Reconstruct the AST for a visit triple (opcode, left, right)."""
@@ -476,7 +524,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
         new = first.keys() - distinct
         distinct.update(new)
         if not semantic:
-            return range(stop), sigs
+            return range(stop), sigs[:stop]
         # The first candidate of each signature that is new, in layer order.
         keep = sorted(i for i in map(first.__getitem__, new) if i < stop)
         return keep, [sigs[i] for i in keep]
@@ -491,13 +539,14 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     width = domain.lane_bytes
     bits = 8 * width
 
-    def visit_top(nid, unary, partners):
-        if unary:
-            unary_ids.append(nid)
-        left_ids.extend([nid] * len(partners))
-        right_ids.extend(partners)
-        if 2 * len(left_ids) + len(unary_ids) >= _LANE_CAP:
-            flush()
+    def visit_top(nids, unary, partner_lists):
+        for nid, partners in zip(nids, partner_lists):
+            if unary:
+                unary_ids.append(nid)
+            left_ids.extend([nid] * len(partners))
+            right_ids.extend(partners)
+            if 2 * len(left_ids) + len(unary_ids) >= _LANE_CAP:
+                flush()
 
     def pack(ids):
         return int.from_bytes(b"".join(map(encoded.__getitem__, ids)),
@@ -734,8 +783,8 @@ def _enumerate(names, max_size, logic, rows):
         layers.append(enum.compose(builders, triples))
         return range(len(triples)), layers[-1]
 
-    def visit_top(*share):
-        top.extend(enum.top_triples(*share))
+    def visit_top(*batch):
+        top.extend(enum.top_triples(*batch))
 
     enum = ClosureEnumeration([Prop(n) for n in names], len(rows[0]),
                               len(rows[1]), max_size, layer, visit_top)

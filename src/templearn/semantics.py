@@ -95,16 +95,16 @@ class _Fixpoints:
     """
 
     def prop_vector(self, name: str) -> int:
-        """The vector of the positions whose letter holds `name`, built on
-        the first request for `name` and kept in `_props`."""
-        v = self._props.get(name)
-        if v is None:
-            v = 0
+        """The vector of the positions whose letter holds `name`, 0 for a
+        name in no letter.  The first request builds every name's vector
+        in one pass over `letters` and keeps them in `_props`."""
+        props = self._props
+        if props is None:
+            props = self._props = {}
             for bit, letter in enumerate(self.letters):
-                if name in letter:
-                    v |= 1 << bit
-            self._props[name] = v
-        return v
+                for p in letter:
+                    props[p] = props.get(p, 0) | 1 << bit
+        return props.get(name, 0)
 
     def v_ex(self, a: int) -> int:
         """EX a: the positions with a successor in `a`.
@@ -230,7 +230,7 @@ class LtlDomain(_Fixpoints):
 
     def __init__(self, words):
         self.letters = []
-        self._props = {}
+        self._props = None
         self.starts = []
         nxt = 0
         up: dict = {}  # period length - 1 -> the loop starts of those words
@@ -256,7 +256,7 @@ class CtlDomain(_Fixpoints):
 
     def __init__(self, structures):
         self.letters = []  # the state labels
-        self._props = {}
+        self._props = None
         self.starts = []
         far: dict = {}  # successor offset, negative when below -> mask
         for m in structures:

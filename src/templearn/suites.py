@@ -434,8 +434,8 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
             closures.append(frozenset(closure_ids) | {len(closures)})
         return range(len(sigs)), sigs
 
-    def visit_top(*share):
-        triples = list(enum.top_triples(*share))
+    def visit_top(*batch):
+        triples = list(enum.top_triples(*batch))
         for (opcode, left, right), sig in zip(triples,
                                               enum.compose(fns, triples)):
             check(max_size, opcode, left, right, sig)

@@ -928,6 +928,164 @@ class TestSkippedIdentities:
         assert row in identity_violations(random.Random(5))
 
 
+def traced_enumerations(monkeypatch, fault=None):
+    """Make every enumeration record its composed layers, by cost, and its
+    final-layer shares `(nid, unary, partners)` in the order handed over;
+    returns the list of the enumerations made.  `fault(enum, nids,
+    partner_lists)` alters each batch before it is recorded and handed
+    on."""
+    made = []
+
+    class Traced(_ENUMERATION):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+            self.skips = (args + (frozenset(), frozenset()))[6:8]
+            self.layers, self.shares = {}, []
+            layer, visit_top = self.layer, self.visit_top
+
+            def traced_layer(cost, triples):
+                self.layers[cost] = list(triples)
+                return layer(cost, triples)
+
+            def traced_visit_top(nids, unary, partner_lists):
+                partner_lists = [list(p) for p in partner_lists]
+                if fault:
+                    partner_lists = fault(self, nids, partner_lists)
+                self.shares += [(nid, unary, p)
+                                for nid, p in zip(nids, partner_lists)]
+                visit_top(nids, unary, partner_lists)
+
+            self.layer, self.visit_top = traced_layer, traced_visit_top
+
+    monkeypatch.setattr(learner, "ClosureEnumeration", Traced)
+    return made
+
+
+def reference_schedule(enum):
+    """An enumeration's layers below its bound, up to the last one it
+    composed, and its final-layer shares, recomputed from its closures
+    alone by brute force over the pairs of registered ids."""
+    closures, ms = enum.closures, enum.max_size
+    cost = [c.bit_count() for c in closures]
+    unary = range(enum.n_unary)
+    binary = range(enum.n_unary, enum.n_ops)
+    commuting, idempotent = enum.skips
+
+    def applications(nid, d):
+        return [t for op in binary for t in ((op, nid, d), (op, d, nid))[
+            :1 if op in commuting else 2]]
+
+    layers = {1: [(-1, i, -1) for i in range(len(enum.seed_payloads))]}
+    for c in range(2, max(enum.layers) + 1):
+        layers[c] = []
+        for nid in range(len(closures)):
+            if cost[nid] == c - 1:  # unary, within-closure and self pairs
+                layers[c] += [(op, nid, -1) for op in unary]
+                for d in range(nid):
+                    if closures[nid] >> d & 1:
+                        layers[c] += applications(nid, d)
+                layers[c] += [(op, nid, nid) for op in binary
+                              if op not in idempotent]
+            elif cost[nid] < c - 1:  # incomparable pairs
+                for g in range(nid):
+                    if (closures[nid] | closures[g]).bit_count() + 1 == c:
+                        layers[c] += applications(nid, g)
+        if not layers[c]:  # an empty layer is not composed
+            del layers[c]
+    shares = []
+    for nid in range(len(closures)):
+        if cost[nid] == ms - 1:
+            shares.append((nid, True, [d for d in range(nid + 1) if binary
+                                       and closures[nid] >> d & 1]))
+            continue
+        if cost[nid] == ms - 2:
+            partners = [g for g in range(nid)
+                        if closures[g] & ~closures[nid] == 1 << g]
+        else:
+            partners = [g for g in range(nid) if (
+                closures[nid] | closures[g]).bit_count() == ms - 1]
+        if partners and binary:
+            shares.append((nid, False, partners))
+    return layers, shares
+
+
+def union_samples():
+    """Samples whose searches form union groups at every layer kind:
+    `skip_samples` over the full operator set (LTL over two and three
+    propositions, CTL with a two-initial-state negative, bounds 2-5), LTL
+    and CTL samples drawn at bounds 6 and 7, and the bound-7 reduction of
+    a 4-variable CNF with its CTL embedding."""
+    rng = random.Random(25)
+    samples = [s for _, s in skip_samples("full")]
+    for bound in (6, 7):
+        for s in (random_sample(rng, ("p", "q", "r")),
+                  next(unseparated(rng, lambda r: kripke_sample(r, 20), 2))):
+            samples.append(Sample(s.alphabet, s.logic, s.positives,
+                                  s.negatives, bound=bound))
+    cnf = reduce_sat(CnfInstance(4, PINNED_CNFS["sat-4v"]))
+    return samples + [cnf, reduce_ltl_to_ctl(cnf)]
+
+
+class TestUnionGroups:
+    """Candidates registered with the same operand union share their
+    bookkeeping, and every composed layer and final-layer share is what
+    brute force over the closures gives: the partners at `bound - 1` are
+    the closure's ids, at `bound - 2` the older candidates that add only
+    themselves to the closure, and below that every older candidate whose
+    union with the closure has `bound - 1` ids; an incomparable pair goes
+    to the layer of its union's size plus one."""
+
+    @staticmethod
+    def mismatches(monkeypatch, ops, fault=None):
+        made = traced_enumerations(monkeypatch, fault)
+        groups = 0
+        for sample in union_samples():
+            for dedup in DedupMode:
+                for mode in BoundMode:
+                    if dedup == DedupMode.NONE and sample.bound > 4:
+                        continue
+                    made.clear()
+                    learn(sample, LearnConfig(
+                        operators=SKIP_OPERATORS[ops], bound_mode=mode,
+                        dedup=dedup))
+                    for enum in made:
+                        if reference_schedule(enum) != (enum.layers,
+                                                        enum.shares):
+                            yield sample, dedup, mode
+                        unions = [c & ~(1 << i)
+                                  for i, c in enumerate(enum.closures)]
+                        groups += len(unions) - len(set(unions))
+        assert groups
+
+    @pytest.mark.parametrize("ops", sorted(SKIP_OPERATORS))
+    def test_the_schedule_is_the_brute_force_one(self, monkeypatch, ops):
+        assert next(self.mismatches(monkeypatch, ops), None) is None
+
+    def test_enumerate_formulas_takes_the_same_path(self, monkeypatch):
+        made = traced_enumerations(monkeypatch)
+        for logic in ("ltl", "ctl"):
+            for bound in (2, 3, 4):
+                made.clear()
+                list(enumerate_formulas("pq", bound, logic=logic))
+                (enum,) = made
+                assert reference_schedule(enum) == (enum.layers, enum.shares)
+
+    def test_a_dropped_sibling_fails(self, monkeypatch):
+        # Each share two below the bound loses its first partner of its
+        # own cost: a sibling with the same operand union.
+        def drop_sibling(enum, nids, partner_lists):
+            cost = enum.closures[nids[0]].bit_count()
+            if cost != enum.max_size - 2:
+                return partner_lists
+            return [[g for g in p if g != next((
+                d for d in p if enum.closures[d].bit_count() == cost), -1)]
+                for p in partner_lists]
+
+        assert next(self.mismatches(monkeypatch, "full", drop_sibling),
+                    None) is not None
+
+
 def rotation_sample(alphabet="pq"):
     """A word and a rotation of it: one infinite word, so no formula
     separates them."""
@@ -1174,6 +1332,12 @@ PINNED_SEARCHES = {
     ('unsat-b/ctl', 'default'): (False, None, None, 5756, 94),
     ('unsat-b/ctl', 'exactly'): (False, None, None, 5756, 94),
     ('unsat-b/ctl', 'none'): (False, None, None, 5382, 13),
+    ('sat-4v/ltl', 'default'): (True, 'x1 | (x3 | x2 | x4)', 7, 258521, 1309),
+    ('sat-4v/ltl', 'exactly'): (True, 'x1 | (x3 | x2 | x4)', 7, 258521, 1309),
+    ('sat-4v/ltl', 'none'): (False, None, None, 3240, 17),
+    ('sat-4v/ctl', 'default'): (True, 'x1 | (x3 | x2 | x4)', 7, 258521, 1309),
+    ('sat-4v/ctl', 'exactly'): (True, 'x1 | (x3 | x2 | x4)', 7, 258521, 1309),
+    ('sat-4v/ctl', 'none'): (False, None, None, 7368, 17),
     ('lasso-0', 'default'): (True, 'X p', 2, 70, 9),
     ('lasso-0', 'exactly'): (True, 'X p & X p', 3, 70, 9),
     ('lasso-0', 'none'): (True, 'X p', 2, 70, 9),
@@ -1206,6 +1370,10 @@ PINNED_CNFS = {
     "sat-b": ((1, 2, 3), (-1, 2), (-2, -3), (1, -3)),
     "unsat-a": ((1, 2), (1, -2), (-1, 3), (-1, -3)),
     "unsat-b": ((1, 2), (-1, 2), (1, -2), (-1, -2), (3, -1)),
+    # Four variables: a bound-7 search, whose layers below bound - 2 hold
+    # candidates with the same operand union.
+    "sat-4v": ((-3, 1), (1, -4), (-2, 3), (1, -2), (3, -1, -4), (-1, -3, 2),
+               (3, 1, -2), (-2, 4, 3)),
 }
 
 PINNED_MODES = {
@@ -1217,7 +1385,8 @@ PINNED_MODES = {
 
 def pinned_samples():
     for name, clauses in PINNED_CNFS.items():
-        s = reduce_sat(CnfInstance(3, clauses))
+        s = reduce_sat(CnfInstance(max(abs(v) for c in clauses for v in c),
+                                   clauses))
         yield f"{name}/ltl", s
         yield f"{name}/ctl", reduce_ltl_to_ctl(s)
     rng = random.Random(4417)

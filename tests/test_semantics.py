@@ -233,6 +233,27 @@ class TestPropVector:
             self.check(rng, CtlDomain(structures),
                        [a for m in structures for a in m.labels])
 
+    def test_many_names_read_the_letters_once(self):
+        # A chain of 300 names, each in two adjacent letters: building every
+        # vector reads each letter once, not once per name.
+        names = [f"x{k}" for k in range(300)]
+        domain = LtlDomain([Word([], [[a, b] for a, b in zip(names,
+                                                              names[1:])])])
+        reads = []
+
+        class Counted(list):
+            def __iter__(self):
+                for letter in super().__iter__():
+                    reads.append(letter)
+                    yield letter
+
+        letters = domain.letters = Counted(domain.letters)
+        for k, name in enumerate(names):
+            assert domain.prop_vector(name) == sum(
+                1 << i for i in (k - 1, k) if 0 <= i < len(letters)), name
+        assert domain.prop_vector("y") == 0
+        assert len(reads) == len(letters) == len(names) - 1
+
 
 def words_of_size(rng, props, n):
     """Random words, prefix 0-4 and period 1-4, of `n` classes in all."""

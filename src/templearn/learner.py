@@ -47,10 +47,10 @@ operands in `S` are the other members of `S`, which join the list as they
 are registered.  The shares only queue operand ids, and only of their
 forward pairs `(nid, d)`:
 every such pair with `d != nid` has its mirror `(d, nid)` in the final
-layer too.  A flush runs each operator row of the table once over the
-queue, packed side by side in the lanes of one int (`domain.lanes`): one
-bitwise step or one fixpoint on a wide vector instead of one per candidate.
-A unary row runs over the queued operands.  A commuting row (`&`, `|`,
+layer too.  A flush runs the operator rows of the table over the queue,
+packed side by side in the lanes of one int (`domain.lanes`): one bitwise
+step or one fixpoint on a wide vector instead of one per candidate.  A
+unary row runs over the queued operands.  A commuting row (`&`, `|`,
 `<->`) runs over the forward pairs only, and each winning pair `(a, b)`
 with `a != b` adds its mirror `(b, a)` to the winners; any other binary
 row runs over the forward pairs followed by their mirrors, built from the
@@ -59,8 +59,16 @@ vector, and a lane that passes it separates unless a negative example has
 several initial states: only then is the lane's value read, for the full
 separation test.  So the final layer adds nothing to
 `distinct_signatures`, which does not depend on how it is flushed.  The
-queue is flushed when its widest packed call would reach `_LANE_CAP` lanes,
-when the search reaches the final layer, and once after the last layer.
+queue is flushed when its widest packed call would reach `_LANE_CAP` lanes
+and when the search reaches the final layer.
+
+The rows run in opcode order, which is the order of their keys in
+`structural_key`, until one wins.  A formula's key starts with its top
+row's key, so the witness, the least key among the winners, lies in the
+least winning row, and no row after it runs, in this flush or a later one.
+No row runs at all once a layer below the bound has won: the answer has
+that layer's cost.  A layer below the bound keeps its least row's winners
+too, so the search answers with the winners of one row at one cost.
 
 Each candidate carries a semantic signature: the bit vector of its values at
 every suffix class of every sample word (or every state of every sample
@@ -474,12 +482,15 @@ _IDEMPOTENT = (AND, OR, UNTIL, RELEASE, WEAK_UNTIL, STRONG_RELEASE)
 
 def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                 bound, semantic, exhaust=False):
-    """One enumeration pass; returns (winning cost, build triples, stats).
+    """One enumeration pass; returns (winning cost, build triples, the
+    enumeration, stats).
 
-    By default the pass stops at the first (hence minimal) layer containing
-    a separating candidate; `exhaust=True` collects only the candidates of
-    cost exactly `bound` and exhausts the whole space (used for exact-size
-    decisions).
+    The triples are the separating candidates of the winning cost whose top
+    row is the least among them, mirrors included; which ones does not
+    depend on `_LANE_CAP`.  By default the pass stops at the first (hence
+    minimal) layer containing a separating candidate; `exhaust=True`
+    collects only the candidates of cost exactly `bound` and exhausts the
+    whole space (used for exact-size decisions).
     """
     unary_rows, binary_rows = rows
     n_unary = len(unary_rows)
@@ -491,7 +502,6 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     distinct: set = set()  # the signatures of the layers composed so far
     binary = range(n_unary, len(fns))
     commuting = [op for op in binary if all_rows[op] in _COMMUTING]
-    ordered = [op for op in binary if all_rows[op] not in _COMMUTING]
     # In SEMANTIC mode the layers below the bound skip the mirrors of the
     # commuting rows and the self-pairs of the idempotent ones.
     mirrored = frozenset(commuting) if semantic else frozenset()
@@ -512,7 +522,7 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
             if won:
                 # A skipped mirror wins with its forward pair, just after
                 # it, where the full schedule would have placed it.
-                found = winners[cost] = []
+                found = []
                 for t, sig in zip(triples, sigs):
                     if sig in won:
                         found.append(t)
@@ -521,6 +531,9 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                             found.append((op, b, a))
                 if not exhaust:
                     stop = min(map(first.__getitem__, won))
+                # Only the least row's winners can hold the witness.
+                least = min(op for op, _, _ in found)
+                winners[cost] = [t for t in found if t[0] == least]
         new = first.keys() - distinct
         distinct.update(new)
         if not semantic:
@@ -556,51 +569,76 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
     # initial states: the screen leaves out exactly their start positions.
     screen_decides = not any(m & ~screen for m in domain.starts)
 
-    def hits(opcodes, k, xs):
-        # One packed call per row over `k` lanes, screened on the packed
-        # vector.  The lanes that pass are read, from one `to_bytes` of the
-        # row, only when the screen is not the whole test.
-        view = domain.lanes(k)
-        rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
-        screens, wants = screen * rep, pos_mask * rep
-        for op in opcodes:
-            packed = view.op(*all_rows[op])(*xs)
-            passed = _zero_lanes((packed & screens) ^ wants, width, rep)
-            if passed and not screen_decides:
-                raw = packed.to_bytes(k * width, "little")
-                passed = [i for i in passed if is_separating(int.from_bytes(
-                    raw[i * width:(i + 1) * width], "little"))]
-            for i in passed:
-                yield op, i
+    def hits(views, op, k, xs):
+        # One packed call of row `op` over `k` lanes, screened on the packed
+        # vector; `views` holds the flush's view, screen and repunit per
+        # lane count.  The lanes that pass are read, from one `to_bytes` of
+        # the row, only when the screen is not the whole test.
+        if k not in views:
+            rep = ((1 << k * bits) - 1) // ((1 << bits) - 1)
+            views[k] = domain.lanes(k), screen * rep, pos_mask * rep, rep
+        view, screens, wants, rep = views[k]
+        packed = view.op(*all_rows[op])(*xs)
+        passed = _zero_lanes((packed & screens) ^ wants, width, rep)
+        if passed and not screen_decides:
+            raw = packed.to_bytes(k * width, "little")
+            passed = [i for i in passed if is_separating(int.from_bytes(
+                raw[i * width:(i + 1) * width], "little"))]
+        return passed
+
+    won_row = len(fns)  # the least opcode with a winner at the bound so far
 
     def flush():
-        # A commuting row runs over the `k` forward lanes; any other binary
-        # row over `2k`, the forward pairs and then their mirrors, where the
-        # mirror of a pair `(a, a)` repeats its forward lane and is dropped.
-        encoded.extend(p.to_bytes(width, "little")
-                       for p in payloads[len(encoded):])
+        # The rows run in opcode order, which is key order, up to `won_row`
+        # and through the first row that wins: every formula of a later row
+        # has a greater key.  None runs once a layer below the bound has
+        # won.  A commuting row runs over the `k` forward lanes; any other
+        # binary row over `2k`, the forward pairs and then their mirrors,
+        # where the mirror of a pair `(a, a)` repeats its forward lane and
+        # is dropped.
+        nonlocal won_row
         found = []
-        if unary_ids and n_unary:
-            found += [(op, unary_ids[i], -1) for op, i in
-                      hits(range(n_unary), len(unary_ids),
-                           (pack(unary_ids),))]
-        if left_ids:
-            k = len(left_ids)
-            x, y = pack(left_ids), pack(right_ids)
-            for op, i in hits(commuting, k, (x, y)):
-                a, b = left_ids[i], right_ids[i]
-                found.append((op, a, b))
-                if a != b:
-                    found.append((op, b, a))
-            shift = k * bits
-            for op, i in hits(ordered, 2 * k, (x | y << shift,
-                                                y | x << shift)):
-                if i < k:
-                    found.append((op, left_ids[i], right_ids[i]))
-                elif left_ids[i - k] != right_ids[i - k]:
-                    found.append((op, right_ids[i - k], left_ids[i - k]))
+        if min(winners, default=bound) == bound:
+            encoded.extend(p.to_bytes(width, "little")
+                           for p in payloads[len(encoded):])
+            views: dict = {}
+            if unary_ids:
+                u = pack(unary_ids)
+                for op in range(min(n_unary, won_row + 1)):
+                    found = [(op, unary_ids[i], -1) for i in
+                             hits(views, op, len(unary_ids), (u,))]
+                    if found:
+                        break
+            ops = range(n_unary, min(len(fns), won_row + 1))
+            if left_ids and ops and not found:
+                k = len(left_ids)
+                x, y = pack(left_ids), pack(right_ids)
+                both = None
+                for op in ops:
+                    if op in commuting:
+                        for i in hits(views, op, k, (x, y)):
+                            a, b = left_ids[i], right_ids[i]
+                            found.append((op, a, b))
+                            if a != b:
+                                found.append((op, b, a))
+                    else:
+                        if both is None:
+                            shift = k * bits
+                            both = x | y << shift, y | x << shift
+                        for i in hits(views, op, 2 * k, both):
+                            if i < k:
+                                found.append((op, left_ids[i], right_ids[i]))
+                            elif left_ids[i - k] != right_ids[i - k]:
+                                found.append((op, right_ids[i - k],
+                                              left_ids[i - k]))
+                    if found:
+                        break
         if found:  # the final layer's cost is the bound
-            winners.setdefault(bound, []).extend(found)
+            if found[0][0] < won_row:
+                won_row = found[0][0]
+                winners[bound] = found
+            else:
+                winners[bound] += found
         left_ids.clear()
         right_ids.clear()
         unary_ids.clear()
@@ -613,7 +651,6 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
             flush()
         if not exhaust and winners.get(cost):
             break
-    flush()  # a search that stopped early still counts its final layer
     best_cost = min(winners) if winners else None
     stats = {"candidates_generated": enum.generated,
              "distinct_signatures": len(distinct)}

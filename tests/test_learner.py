@@ -14,8 +14,8 @@ from templearn import (
 )
 from templearn import learner
 from templearn.formulas import (
-    AND, OR, STRONG_RELEASE, UNTIL, WEAK_UNTIL, LtlBinary, LtlUnary, Prop,
-    subformulas,
+    _ROW_KEY, AND, OR, STRONG_RELEASE, UNTIL, WEAK_UNTIL, LtlBinary,
+    LtlUnary, Prop, structural_key, subformulas,
 )
 from templearn.learner import _build_domain
 from templearn.semantics import OPERATOR_TABLE, CtlDomain, LtlDomain
@@ -24,6 +24,21 @@ from templearn.semantics import OPERATOR_TABLE, CtlDomain, LtlDomain
 def word(text):
     from templearn.models import parse_word_text
     return parse_word_text(text)
+
+
+def least_row(printed, logic):
+    """The formulas of `printed`, in its order, whose top node's operator
+    row has the least key: the winners a search keeps at its winning cost,
+    since `structural_key` starts with that row's key."""
+    parse = parse_ltl if logic == "ltl" else parse_ctl
+
+    def row(text):
+        f = parse(text)
+        return "0" if type(f) is Prop else _ROW_KEY[f.op, f.quantifier]
+
+    rows = [row(text) for text in printed]
+    least = min(rows, default=None)
+    return [text for text, r in zip(printed, rows) if r == least]
 
 
 class TestLearnBasics:
@@ -358,21 +373,12 @@ class TestPruningUnderDagSize:
                        word("{p,q};{} | {p,q,r};{}"),
                        word("{p};{} | {}"), word("{} | {}")], bound=5)
 
-    def test_exhaustive_search_finds_the_three_proposition_witness(
-            self, monkeypatch):
-        # Its final layer overflows the lane cap of the packed temporal
-        # rows many times, so the search composes it in many flushes.
-        from templearn.learner import _LANE_CAP
-        lanes = []
-        real = LtlDomain.lanes
-        monkeypatch.setattr(LtlDomain, "lanes",
-                            lambda d, k: lanes.append(k) or real(d, k))
+    def test_exhaustive_search_finds_the_three_proposition_witness(self):
         out = learn(self.three_propositions(),
                     LearnConfig(dedup=DedupMode.NONE))
         assert out.decision and out.size == 4
         assert out.witness == parse_ltl("!(r -> X r)")
         assert out.stats["candidates_generated"] == 688143
-        assert len(lanes) > 10 and max(lanes) >= _LANE_CAP
 
     @pytest.mark.xfail(strict=True, reason="pruning is unsound under DAG "
                        "size (ROADMAP item 1): no formula at bound 4")
@@ -593,12 +599,30 @@ class TestFlushBoundaries:
             t, lambda i: Prop(names[i]), builders)) for t in triples)
 
     def test_winner_sets_do_not_depend_on_the_lane_cap(self, monkeypatch):
-        # Every winner of the final layer, mirrored ones included, and no
-        # other: the witness alone would not show a lost or extra mirror.
+        # Every winner of the least winning row, mirrored ones included,
+        # and no other: the witness alone would not show a lost or extra
+        # mirror, nor a row run past a flush's winner.
+        want = {name: (WINNERS[name][0], least_row(WINNERS[name][1],
+                                                   s.logic))
+                for name, s, _ in self.searches()}
         for cap in (1, 3, 4096):
             monkeypatch.setattr(learner, "_LANE_CAP", cap)
             assert {name: self.winners(s, cfg) for name, s, cfg
-                    in self.searches()} == WINNERS
+                    in self.searches()} == want
+
+    def test_an_unseparated_final_layer_spans_many_flushes(self,
+                                                           monkeypatch):
+        # No formula of size 4 separates, so every row runs in every
+        # flush, and the widest rows overflow a small lane cap many times.
+        lanes = []
+        real = LtlDomain.lanes
+        monkeypatch.setattr(LtlDomain, "lanes",
+                            lambda d, k: lanes.append(k) or real(d, k))
+        monkeypatch.setattr(learner, "_LANE_CAP", 1024)
+        out = learn(reduce_sat(CnfInstance(3, PINNED_CNFS["unsat-a"])),
+                    LearnConfig(bound=4, dedup=DedupMode.NONE))
+        assert not out.decision
+        assert len(lanes) > 10 and max(lanes) >= learner._LANE_CAP
 
 
 _SAT_B_WINNERS = (5, [
@@ -609,7 +633,8 @@ _SAT_B_WINNERS = (5, [
     "x3_bar | (x2 | x1)", "x3_bar | (x2 | x1_bar)", "x3_bar | x1 | x2",
     "x3_bar | x1_bar | x2", "x3_bar | x2 | x1", "x3_bar | x2 | x1_bar"])
 
-# The winners of `TestFlushBoundaries.searches()`, as `winners` gives them.
+# The winners of `TestFlushBoundaries.searches()` at their winning cost,
+# every row's: a search keeps those of the least row (`least_row`).
 WINNERS = {
     "three-props": (4, [
         "!(X r <-> r)", "!(r -> X r)", "!(r <-> X r)", "!X r & r",
@@ -641,17 +666,24 @@ class TestMirroredWinners:
         assert out.witness == parse_ltl(want)
 
     def test_each_winner_counts_once(self):
-        # At a fixed winning cost every winner of the final layer counts,
-        # among them pairs `(a, a)` of non-commuting rows, whose mirror
-        # lane repeats the forward lane.
-        sample = Sample(["p", "q"], "ltl", [word("| {p}"),
-                                            word("{q} | {p};{q}")],
-                        [word("| {}")])
+        # At a fixed winning cost every winner of the least winning row
+        # counts, here `U`, among them a pair `(a, a)` of that
+        # non-commuting row, whose mirror lane repeats the forward lane.
+        # A size-2 separator `a` makes `a & a` win below `U`, so the row
+        # set leaves out `&` and `|`.
+        sample = Sample(["p", "q"], "ltl", [word("| {p}"), word("{p} | {q}")],
+                        [word("| {q}"), word("{} | {p}")])
         domain, pos_mask, screen, is_separating, _ = _build_domain(sample)
-        rows = learner._op_table("ltl", OperatorSet.full(), False)
-        _, triples, _, _ = learner._run_search(
+        rows = learner._op_table("ltl", OperatorSet.from_names(["X", "U"]),
+                                 False)
+        _, triples, enum, _ = learner._run_search(
             ["p", "q"], domain, rows, pos_mask, screen, is_separating, 3,
             False, exhaust=True)
+        printed = [print_formula(enum.build_formula(
+            t, lambda i: Prop("pq"[i]), learner._builders("ltl", rows)))
+            for t in triples]
+        assert "(p U p) U p U p" in printed
+        assert least_row(printed, "ltl") == printed
         assert any(a == b for _, a, b in triples)
         assert len(set(triples)) == len(triples)
 
@@ -689,18 +721,18 @@ def unseparated(rng, draw, bound):
 
 class TestFinalLayerWinners:
     """The final layer's winners are exactly the formulas of the bound's
-    size that separate: brute force over `enumerate_formulas` at bound 3 in
-    NONE mode, on samples with no smaller separator.  A lane that passes
-    the screen is read for the full test only when some negative has
-    several initial states."""
+    size that separate and whose top row is the least such: brute force
+    over `enumerate_formulas` at bound 3 in NONE mode, on samples with no
+    smaller separator.  A lane that passes the screen is read for the full
+    test only when some negative has several initial states."""
 
     @staticmethod
     def check(sample):
-        """The separators of size 3, printed, and the signatures that the
-        search gave the full test."""
-        want = sorted(print_formula(f) for f in enumerate_formulas(
+        """The least row's separators of size 3, printed, and the
+        signatures that the search gave the full test."""
+        want = least_row(sorted(print_formula(f) for f in enumerate_formulas(
             sample.alphabet, 3, logic=sample.logic)
-            if size(f) == 3 and check_separating(f, sample))
+            if size(f) == 3 and check_separating(f, sample)), sample.logic)
         reads = []
         assert TestFlushBoundaries.winners(
             sample, LearnConfig(bound=3, dedup=DedupMode.NONE), reads) == (
@@ -737,6 +769,143 @@ class TestFinalLayerWinners:
             winners += len(want)
             if k >= 2 and winners:
                 break
+
+
+# The operator sets whose tables `TestRowOrder` checks, besides
+# `SKIP_OPERATORS`.
+ROW_SETS = {"full": OperatorSet.full(),
+            "boolean": OperatorSet.from_names(["!", "&", "|", "->", "<->"]),
+            "temporal": OperatorSet.from_names(["X", "F", "G", "U", "R", "W",
+                                                "M"])}
+
+
+def row_order_violations():
+    """The `(logic, operators, skip_trivial)` whose `learner._op_table`
+    rows, unary then binary, do not have strictly increasing keys."""
+    bad = []
+    for logic in ("ltl", "ctl"):
+        for name, ops in {**ROW_SETS, **SKIP_OPERATORS}.items():
+            for skip in (False, True):
+                unary, binary = learner._op_table(logic, ops, skip)
+                keys = [_ROW_KEY[row] for row in unary + binary]
+                if any(a >= b for a, b in zip(keys, keys[1:])):
+                    bad.append((logic, name, skip))
+    return bad
+
+
+class TestRowOrder:
+    """The final layer stops after its first winning row because opcode
+    order is key order: every formula whose top row comes later has a
+    greater `structural_key`."""
+
+    def test_row_order_is_key_order(self):
+        assert row_order_violations() == []
+
+    def test_a_planted_swap_fails(self, monkeypatch):
+        real = learner._op_table
+
+        def swapped(logic, ops, skip):
+            unary, binary = real(logic, ops, skip)
+            return unary, binary[1:2] + binary[:1] + binary[2:]
+
+        monkeypatch.setattr(learner, "_op_table", swapped)
+        assert ("ltl", "full", False) in row_order_violations()
+
+
+def until_sample():
+    """An LTL sample that `p U q` separates and nothing smaller does."""
+    return Sample("pq", "ltl", [word("| {q}"), word("{p} | {q}")],
+                  [word("| {p}"), word("{} | {q}")])
+
+
+@functools.lru_cache(maxsize=None)
+def least_separator_samples():
+    """Samples and the separators of each up to its largest bound, by
+    brute force over `enumerate_formulas`: LTL over two and three
+    propositions and CTL whose first negative has two initial states,
+    some with no separator of size 2."""
+    rng = random.Random(26)
+    samples = [(until_sample(), 4)]
+    samples += [(random_sample(rng, ("p", "q")), 4) for _ in range(2)]
+    samples += [(s, 4) for s, _ in zip(unseparated(
+        rng, lambda r: lasso_sample(r, 8), 2), range(2))]
+
+    def structures(r):
+        while True:
+            try:
+                return kripke_sample(r, 12)
+            except ValueError:  # a structure drawn on both sides
+                pass
+
+    samples += [(s, b) for s, b in zip(unseparated(rng, structures, 2),
+                                       (3, 3, 4))]
+    out = []
+    for sample, bound in samples:
+        domain = _build_domain(sample)[0]
+        starts, n_pos, cache = domain.starts, len(sample.positives), {}
+        separators = []
+        for f in enumerate_formulas(sample.alphabet, bound,
+                                    logic=sample.logic):
+            v = domain.evaluate(f, cache)
+            if (all(v & m == m for m in starts[:n_pos])
+                    and not any(v & m == m for m in starts[n_pos:])):
+                separators.append((size(f), structural_key(f), f))
+        out.append((sample, bound, separators))
+    return tuple(out)
+
+
+class TestLeastSeparator:
+    """In NONE mode the witness is the least separator of the least size
+    (AT_MOST) or of the bound's size (EXACTLY) under `structural_key`,
+    however the final layer is split into flushes."""
+
+    def test_the_witness_is_the_least_separator(self, monkeypatch):
+        calls = {}
+        tops = set()
+        for cap in (16, learner._LANE_CAP):
+            monkeypatch.setattr(learner, "_LANE_CAP", cap)
+            calls[cap] = []
+            for cls in (LtlDomain, CtlDomain):
+                monkeypatch.setattr(cls, "lanes", lambda d, k, real=cls.lanes:
+                                    calls[cap].append(k) or real(d, k))
+            for sample, most, separators in least_separator_samples():
+                for bound in range(2, most + 1):
+                    for mode in BoundMode:
+                        fit = [x for x in separators if x[0] <= bound
+                               and (mode == BoundMode.AT_MOST
+                                    or x[0] == bound)]
+                        want = min(fit, key=lambda x: x[:2], default=None)
+                        out = learn(sample, LearnConfig(
+                            bound=bound, bound_mode=mode,
+                            dedup=DedupMode.NONE))
+                        assert (out.witness, out.size) == (
+                            (want[2], want[0]) if want else (None, None)), (
+                            sample, bound, mode, cap)
+                        if want and want[2].args:
+                            tops.add(want[2].op)
+            monkeypatch.undo()
+        # The small cap splits the final layers into many more flushes.
+        assert len(calls[16]) > 2 * len(calls[learner._LANE_CAP])
+        assert tops & {UNTIL, "R", WEAK_UNTIL, STRONG_RELEASE}
+
+    @pytest.mark.parametrize("cap", [16, learner._LANE_CAP])
+    def test_the_search_keeps_the_least_rows_winners(self, monkeypatch, cap):
+        # At the winning cost, below the bound or at it, the search keeps
+        # the separators of the least row and no other.
+        monkeypatch.setattr(learner, "_LANE_CAP", cap)
+        costs = set()
+        for sample, most, separators in least_separator_samples():
+            for bound in range(2, most + 1):
+                cost = min((x[0] for x in separators if x[0] <= bound),
+                           default=None)
+                want = least_row(sorted(print_formula(x[2])
+                                        for x in separators
+                                        if x[0] == cost), sample.logic)
+                assert TestFlushBoundaries.winners(sample, LearnConfig(
+                    bound=bound, dedup=DedupMode.NONE)) == (cost, want)
+                costs.add((cost, bound))
+        assert {cost < bound for cost, bound in costs if cost} == {
+            False, True}
 
 
 # The enumerator class itself, before any test replaces it.

@@ -17,17 +17,23 @@ jointly cover every operator application exactly once:
 * incomparable pairs — scheduled when the younger operand is registered, at
   the exact layer `|union| + 1`.
 
-Each layer below the bound (at bound 1, the seeds) is composed in one
-pass: one comprehension over the operator functions, then one dict from
-each of the layer's distinct signatures to its first position.  That dict
-is screened for separating signatures (a hit's positions are looked up
-only then), gives the keep list as its keys less the signatures seen
-before, and updates the set of those, whose size is the search's
-`distinct_signatures`.  Only the candidates that are kept are
-registered, in layer order, because that order decides which of several
-same-signature candidates is kept: in SEMANTIC mode the first of each new
-signature, and none from the layer's first separating candidate on, so
-that a search that has its answer expands nothing further.
+A layer below the bound (at bound 1, the seeds) is scheduled as a few
+column grids, one row per operand (a registration, or a pair of them) and
+one column per operator row.  Registering a layer adds one *within* grid
+to the next layer (unary rows, pairs with each id of the operand union,
+self-pairs) and one *incomparable* grid to each higher layer below the
+bound (the pairs sized at that cost), so a layer lists its triples in the
+order they were scheduled.  It is composed with one `map` of an operator
+function per grid column; then one dict maps each of its distinct
+signatures to its first position.  That dict is screened for separating
+signatures (a hit's positions are decoded only then), gives the keep list
+as its keys less the signatures seen before, and updates the set of
+those, whose size is the search's `distinct_signatures`.  Only the
+candidates that are kept are decoded into triples and registered, in
+layer order, because that order decides which of several same-signature
+candidates is kept: in SEMANTIC mode the first of each new signature, and
+none from the layer's first separating candidate on, so that a search
+that has its answer expands nothing further.
 
 A layer's kept candidates are registered in one pass, and candidates
 with the same operand union `S` (the closure less the candidate's own id,
@@ -169,17 +175,57 @@ def _bit_ids(bits: int) -> list:
     return out
 
 
+class Layer:
+    """One cost layer's schedule below the bound, as column grids.
+
+    A grid ``(n, ids, columns)`` has ``n`` rows and lists ``n *
+    len(columns)`` triples, row by row and, within a row, column by column:
+    column ``(opcode, i, j)`` of row ``r`` is ``(opcode, ids[i][r],
+    ids[j][r])``, or ``(opcode, ids[i][r], -1)`` when ``j`` is None.  The
+    layer lists its grids' triples one grid after another; iterating it
+    yields them in that order.  No grid is empty.
+    """
+
+    __slots__ = ("grids", "size")
+
+    def __init__(self, grids):
+        self.grids = grids
+        self.size = sum(n * len(columns) for n, _, columns in grids)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return iter(self.at(range(self.size)))
+
+    def at(self, positions) -> list:
+        """The triples at the increasing `positions`, in one pass."""
+        out = []
+        grids = iter(self.grids)
+        end = 0
+        for p in positions:
+            while p >= end:
+                n, ids, columns = next(grids)
+                start, w = end, len(columns)
+                end += n * w
+            r, k = divmod(p - start, w)
+            op, i, j = columns[k]
+            out.append((op, ids[i][r], -1 if j is None else ids[j][r]))
+        return out
+
+
 class ClosureEnumeration:
     """Layered generation of all operator applications over a seed set.
 
     A candidate is a triple ``(opcode, left, right)`` over the ids of
     registered candidates; ``right`` is -1 for unary opcodes (those below
     ``n_unary``), and seed ``i`` is ``(-1, i, -1)``.  ``run()`` hands each
-    cost layer, the seeds as layer 1, to ``layer(cost, triples)`` in one
-    call, in schedule order.  Below ``max_size`` that is every layer; at
-    ``max_size`` only the seeds, when ``max_size`` is 1.  The callback
-    returns ``(keep, payloads)``: the increasing positions of the triples
-    to register and their payloads (:meth:`compose` computes a layer's).
+    cost layer, the seeds as layer 1, to ``layer(cost, layer)`` in one
+    call, as a :class:`Layer` that yields its triples in schedule order.
+    Below ``max_size`` that is every layer; at ``max_size`` only the seeds,
+    when ``max_size`` is 1.  The callback returns ``(keep, payloads)``:
+    the increasing positions of the triples to register and their payloads
+    (:meth:`compose` computes a layer's).
     Registering gives a candidate the next dense id and, below
     ``max_size``, schedules its applications, so a callback stops the
     search from expanding by keeping nothing from some position on.
@@ -243,23 +289,42 @@ class ClosureEnumeration:
         if ms < 1:
             return
         buckets = self._buckets = [[] for _ in range(ms + 1)]
-        buckets[1] = [(-1, i, -1) for i in range(len(self.seed_payloads))]
+        n_seeds = len(self.seed_payloads)
+        if n_seeds:
+            buckets[1] = [(n_seeds, [range(n_seeds)], [(-1, 0, None)])]
         skipped = self._skipped = [0] * (ms + 1)
         for cost in range(1, ms + 1):
-            triples = buckets[cost]
+            layer = Layer(buckets[cost])
             buckets[cost] = None
-            self.generated += len(triples) + skipped[cost]
-            if triples:  # the last bucket stays empty
-                keep, payloads = self.layer(cost, triples)
-                self._register_layer(cost, list(map(triples.__getitem__,
-                                                    keep)), payloads)
+            self.generated += len(layer) + skipped[cost]
+            if layer.size:  # the last bucket stays empty
+                keep, payloads = self.layer(cost, layer)
+                self._register_layer(cost, layer.at(keep), payloads)
             yield cost
 
-    def compose(self, fns, triples) -> list:
-        """The payloads of a layer's triples: the seeds' own, or
-        ``fns[opcode]`` applied to the operands' payloads."""
-        if triples and triples[0][0] < 0:
+    def compose(self, fns, layer) -> list:
+        """The payloads of a :class:`Layer`'s triples: the seeds' own, or
+        ``fns[opcode]`` applied to the operands' payloads, one ``map`` per
+        grid column over the payloads of the grid's id lists."""
+        if layer.grids[0][2][0][0] < 0:  # the seeds' column (-1, 0, None)
             return self.seed_payloads
+        pay = self.payloads
+        out = [None] * layer.size
+        start = 0
+        for n, ids, columns in layer.grids:
+            args = [pay[i.start:i.stop] if type(i) is range
+                    else list(map(pay.__getitem__, i)) for i in ids]
+            w = len(columns)
+            end = start + n * w
+            for k, (op, i, j) in enumerate(columns, start):
+                out[k:end:w] = (map(fns[op], args[i]) if j is None
+                                else map(fns[op], args[i], args[j]))
+            start = end
+        return out
+
+    def compose_triples(self, fns, triples) -> list:
+        """The payloads of a list of triples of registered operands, such
+        as a :meth:`top_triples` batch."""
         pay = self.payloads
         return [fns[op](pay[a]) if b < 0 else fns[op](pay[a], pay[b])
                 for op, a, b in triples]
@@ -296,17 +361,29 @@ class ClosureEnumeration:
             self.generated += len(kept) * n_unary
             self.visit_top(nids, True, shares)
             return
-        bucket = self._buckets[cost + 1]
-        unary = range(n_unary)
-        if not n_binary:
-            bucket += [(op, nid, -1) for nid in nids for op in unary]
-            return
         buckets, skipped = self._buckets, self._skipped
-        pairs, selves = self._pairs, self._selves
+        pairs = self._pairs
         per_partner = self._skip_per_partner
-        per_registration = self._skip_per_registration
         by_operands = self._by_operands
         below = cost < ms - 2
+        # Every registration has `cost - 1` ids in `S`.  Its row of the
+        # layer's *within* grid, in bucket `cost + 1`, holds its unary
+        # applications, then per position `j` of `S`'s ids the pairs with
+        # that id, then its self-pairs.  Column `j + 1` of the grid's ids
+        # is the `j`-th id of each row's `S`.
+        within = [(op, 0, None) for op in range(n_unary)]
+        within += [(op, j, 0) if flip else (op, 0, j)
+                   for j in range(1, cost) for op, flip in pairs]
+        within += [(op, 0, 0) for op in self._selves]
+        if not n_binary:
+            if kept and within:
+                buckets[cost + 1].append((len(kept), [nids], within))
+            return
+        skipped[cost + 1] += len(kept) * (
+            (cost - 1) * per_partner + self._skip_per_registration)
+        # Per target cost `j + 2` below `ms - 1`: the rows `(nid, g)` of the
+        # layer's *incomparable* grid, as its left and right ids.
+        incomparable = {j: ([], []) for j in range(cost, ms - 2)}
         # Per union `S`: its ids and its members' final-layer partners, a
         # list whose prefixes are the members' shares.  At `ms - 2` a
         # partner lies outside `S` with its operands inside, which among
@@ -317,7 +394,7 @@ class ClosureEnumeration:
         # so far: a member's union with `closure(g)` has one more id, its
         # own, so the pair costs `|S ∪ closure(g)| + 2`.
         groups: dict = {}
-        share_ids, cuts = [], []
+        rows, share_ids, cuts = [], [], []
         for nid, u in zip(nids, unions):
             group = groups.get(u)
             if group is None:
@@ -333,28 +410,30 @@ class ClosureEnumeration:
                         if not u >> g & 1)]
                 groups[u] = group
             subs, top = group[:2]
-            bucket += [(op, nid, -1) for op in unary]
-            bucket += [(op, d, nid) if flip else (op, nid, d)
-                       for d in subs for op, flip in pairs]
-            bucket += [(op, nid, nid) for op in selves]
-            skipped[cost + 1] += len(subs) * per_partner + per_registration
+            rows.append(subs)
             if below:
                 sized, done = group[2:]
                 sizes = [(u | c).bit_count() for c in closures[done:nid]]
                 for j, gs in sized.items():
                     gs += [g for g, x in enumerate(sizes, done) if x == j]
                 group[3] = nid
-                for j in range(cost, ms - 2):
+                for j, (lefts, rights) in incomparable.items():
                     if gs := sized[j]:
-                        buckets[j + 2] += [(op, g, nid) if flip
-                                           else (op, nid, g)
-                                           for g in gs for op, flip in pairs]
-                        skipped[j + 2] += per_partner * len(gs)
+                        lefts += [nid] * len(gs)
+                        rights += gs
             if top:
                 share_ids.append(nid)
                 cuts.append((top, len(top)))
             if not below:
                 top.append(nid)
+        if kept and within:
+            buckets[cost + 1].append((len(kept), [nids, *zip(*rows)],
+                                      within))
+        columns = [(op, 1, 0) if flip else (op, 0, 1) for op, flip in pairs]
+        for j, (lefts, rights) in incomparable.items():
+            if lefts:
+                buckets[j + 2].append((len(lefts), [lefts, rights], columns))
+                skipped[j + 2] += per_partner * len(lefts)
         if share_ids:
             self.generated += 2 * n_binary * sum(n for _, n in cuts)
             self.visit_top(share_ids, False, (top[:n] for top, n in cuts))
@@ -523,12 +602,12 @@ def _run_search(names, domain, rows, pos_mask, screen, is_separating,
                 # A skipped mirror wins with its forward pair, just after
                 # it, where the full schedule would have placed it.
                 found = []
-                for t, sig in zip(triples, sigs):
-                    if sig in won:
-                        found.append(t)
-                        op, a, b = t
-                        if op in mirrored and a != b:
-                            found.append((op, b, a))
+                for t in triples.at([i for i, sig in enumerate(sigs)
+                                     if sig in won]):
+                    found.append(t)
+                    op, a, b = t
+                    if op in mirrored and a != b:
+                        found.append((op, b, a))
                 if not exhaust:
                     stop = min(map(first.__getitem__, won))
                 # Only the least row's winners can hold the witness.
@@ -827,7 +906,7 @@ def _enumerate(names, max_size, logic, rows):
                               len(rows[1]), max_size, layer, visit_top)
     for cost in enum.run():
         if cost == max_size:
-            layers.append(enum.compose(builders, top))
+            layers.append(enum.compose_triples(builders, top))
         for formulas in layers:
             yield from formulas
         layers.clear()

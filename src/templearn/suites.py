@@ -436,8 +436,8 @@ def run_formula_sweep(max_size: int = 5, props=("p", "q")) -> dict:
 
     def visit_top(*batch):
         triples = list(enum.top_triples(*batch))
-        for (opcode, left, right), sig in zip(triples,
-                                              enum.compose(fns, triples)):
+        for (opcode, left, right), sig in zip(
+                triples, enum.compose_triples(fns, triples)):
             check(max_size, opcode, left, right, sig)
 
     seeds = [dom.prop_vector(name) for name in props]
@@ -513,10 +513,15 @@ def run_quantifier_transfer(literal_max_size: int = 4, props=("p", "q"),
     cdom = CtlDomain(structures)
     letters = single_letters(props)
     bad = _Violations()
+    # One cache per domain for the whole pass: each distinct sub-formula
+    # is evaluated once.
+    ctl_cache: dict = {}
+    ltl_cache: dict = {}
 
     def check(f):
         stripped = strip_quantifiers(f)
-        diff = cdom.evaluate(f) ^ ldom.evaluate(stripped)
+        diff = (cdom.evaluate(f, ctl_cache)
+                ^ ldom.evaluate(stripped, ltl_cache))
         for i, letter in enumerate(letters):
             if diff >> i & 1:
                 bad.add(f"{print_formula(f)} vs {print_formula(stripped)} "

@@ -263,6 +263,12 @@ _GOLDEN_LEARN = {
         ("--sample", "three-props", "--no-dedup"),
         "32da21fa2e8a2fa34771e81da613f0048e2681961af5bf5603f438d28c72d566",
         5, "at_most", "none", "!(r -> X r)", 4, 688143, 90),
+    # Its first negative has two initial states: the screen is not the
+    # whole separation test.
+    "example-kripke": (
+        ("--sample", "example-kripke"),
+        "93ca01bf09d074870a83310e8da48918f3bce0b4501e12172180643d63f84129",
+        3, "at_most", "semantic", "p <-> q", 3, 408, 10),
 }
 
 
@@ -279,7 +285,9 @@ class TestLearnGolden:
         three = tmp_path / "three.sample"
         three.write_text(_THREE_PROPOSITIONS)
         paths = {"example1": str(example1_sample_file),
-                 "three-props": str(three)}
+                 "three-props": str(three),
+                 "example-kripke": str(example1_sample_file.parent
+                                       / "example-kripke.sample")}
         argv = [paths.get(a, a) for a in argv]
         code, out, _ = run(capsys, "learn", "--json", *argv)
         assert code == EXIT_OK

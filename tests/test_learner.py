@@ -1097,20 +1097,21 @@ class TestSkippedIdentities:
         assert row in identity_violations(random.Random(5))
 
 
-def traced_enumerations(monkeypatch, fault=None):
-    """Make every enumeration record its composed layers, by cost, and its
-    final-layer shares `(nid, unary, partners)` in the order handed over;
-    returns the list of the enumerations made.  `fault(enum, nids,
-    partner_lists)` alters each batch before it is recorded and handed
-    on."""
+def traced_enumerations(monkeypatch, fault=None, base=_ENUMERATION):
+    """Make every enumeration, of class `base`, record its composed layers,
+    by cost, and its final-layer shares `(nid, unary, partners)` in the
+    order handed over, and each `compose` call's grid layer, operator
+    functions and payloads; returns the list of the enumerations made.
+    `fault(enum, nids, partner_lists)` alters each batch before it is
+    recorded and handed on."""
     made = []
 
-    class Traced(_ENUMERATION):
+    class Traced(base):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
             self.skips = (args + (frozenset(), frozenset()))[6:8]
-            self.layers, self.shares = {}, []
+            self.layers, self.shares, self.composed = {}, [], []
             layer, visit_top = self.layer, self.visit_top
 
             def traced_layer(cost, triples):
@@ -1127,6 +1128,11 @@ def traced_enumerations(monkeypatch, fault=None):
 
             self.layer, self.visit_top = traced_layer, traced_visit_top
 
+        def compose(self, fns, layer):
+            payloads = super().compose(fns, layer)
+            self.composed.append((layer, fns, payloads))
+            return payloads
+
     monkeypatch.setattr(learner, "ClosureEnumeration", Traced)
     return made
 
@@ -1141,6 +1147,12 @@ def reference_schedule(enum):
     binary = range(enum.n_unary, enum.n_ops)
     commuting, idempotent = enum.skips
 
+    def members(nid):
+        # The ids in the closure of `nid`, in increasing order, read off
+        # its binary digits.
+        return [d for d, bit in enumerate(reversed(f"{closures[nid]:b}"))
+                if bit == "1"]
+
     def applications(nid, d):
         return [t for op in binary for t in ((op, nid, d), (op, d, nid))[
             :1 if op in commuting else 2]]
@@ -1151,9 +1163,8 @@ def reference_schedule(enum):
         for nid in range(len(closures)):
             if cost[nid] == c - 1:  # unary, within-closure and self pairs
                 layers[c] += [(op, nid, -1) for op in unary]
-                for d in range(nid):
-                    if closures[nid] >> d & 1:
-                        layers[c] += applications(nid, d)
+                for d in members(nid)[:-1] if binary else ():
+                    layers[c] += applications(nid, d)
                 layers[c] += [(op, nid, nid) for op in binary
                               if op not in idempotent]
             elif cost[nid] < c - 1:  # incomparable pairs
@@ -1165,8 +1176,9 @@ def reference_schedule(enum):
     shares = []
     for nid in range(len(closures)):
         if cost[nid] == ms - 1:
-            shares.append((nid, True, [d for d in range(nid + 1) if binary
-                                       and closures[nid] >> d & 1]))
+            shares.append((nid, True, members(nid) if binary else []))
+            continue
+        if not binary:
             continue
         if cost[nid] == ms - 2:
             partners = [g for g in range(nid)
@@ -1174,26 +1186,91 @@ def reference_schedule(enum):
         else:
             partners = [g for g in range(nid) if (
                 closures[nid] | closures[g]).bit_count() == ms - 1]
-        if partners and binary:
+        if partners:
             shares.append((nid, False, partners))
     return layers, shares
 
 
+@functools.lru_cache(maxsize=None)
 def union_samples():
     """Samples whose searches form union groups at every layer kind:
     `skip_samples` over the full operator set (LTL over two and three
-    propositions, CTL with a two-initial-state negative, bounds 2-5), LTL
-    and CTL samples drawn at bounds 6 and 7, and the bound-7 reduction of
-    a 4-variable CNF with its CTL embedding."""
+    propositions, CTL with a two-initial-state negative, bounds 2-5), two
+    of them at bound 1, LTL and CTL samples drawn at bounds 6 and 7, the
+    reduction of example1's CNF (bound 5, whose layer 2 under `|` alone
+    holds only skipped self-pairs), and the bound-7 reduction of a
+    4-variable CNF with its CTL embedding."""
     rng = random.Random(25)
     samples = [s for _, s in skip_samples("full")]
+    for s in samples[:2]:
+        samples.append(Sample(s.alphabet, s.logic, s.positives, s.negatives,
+                              bound=1))
     for bound in (6, 7):
         for s in (random_sample(rng, ("p", "q", "r")),
                   next(unseparated(rng, lambda r: kripke_sample(r, 20), 2))):
             samples.append(Sample(s.alphabet, s.logic, s.positives,
                                   s.negatives, bound=bound))
+    example1 = reduce_sat(CnfInstance(3, ((1,), (-1, 2, -3), (-2, 3))))
     cnf = reduce_sat(CnfInstance(4, PINNED_CNFS["sat-4v"]))
-    return samples + [cnf, reduce_ltl_to_ctl(cnf)]
+    return (*samples, example1, cnf, reduce_ltl_to_ctl(cnf))
+
+
+# The operator sets the grid schedule is checked over: those of the skips,
+# three of which have binary rows only, and one with unary rows only.
+GRID_OPERATORS = dict(SKIP_OPERATORS,
+                      unary=OperatorSet.from_names(["!", "X", "F", "G"]))
+
+
+def grid_mismatches(enum):
+    """The composed layers of a traced enumeration whose grids disagree
+    with the layer's own list of triples: `at` on random increasing
+    positions and on the first and last row of every grid against
+    indexing the list, and the composed payloads against `fns[op]`
+    applied one triple at a time."""
+    pay = enum.payloads
+    for layer, fns, payloads in enum.composed:
+        triples = list(layer)
+        n = len(triples)
+        rng = random.Random(n)
+        picks = [sorted(rng.sample(range(n), k)) for k in (1, n // 4)]
+        ends, start = set(), 0
+        for rows, _, columns in layer.grids:
+            w = len(columns)
+            ends.update(range(start, start + w))
+            start += rows * w
+            ends.update(range(start - w, start))
+        picks.append(sorted(ends))
+        if any(layer.at(p) != [triples[i] for i in p] for p in picks):
+            yield layer
+        if payloads != (enum.seed_payloads if triples[0][0] < 0 else [
+                fns[op](pay[a]) if b < 0 else fns[op](pay[a], pay[b])
+                for op, a, b in triples]):
+            yield layer
+
+
+class WithinGridFault(_ENUMERATION):
+    """The enumerator with `alter(bucket)` applied to the bucket each
+    within grid is appended to, right after it is appended."""
+
+    def _register_layer(self, cost, kept, payloads):
+        bucket = self._buckets[cost + 1] if cost < self.max_size else []
+        before = len(bucket)
+        super()._register_layer(cost, kept, payloads)
+        if len(bucket) > before:
+            self.alter(bucket)
+
+
+class SwappedColumns(WithinGridFault):
+    @staticmethod
+    def alter(bucket):
+        n, ids, columns = bucket[-1]
+        bucket[-1] = n, ids, [*columns[1::-1], *columns[2:]]
+
+
+class WithinGridFirst(WithinGridFault):
+    @staticmethod
+    def alter(bucket):
+        bucket.insert(0, bucket.pop())
 
 
 class TestUnionGroups:
@@ -1203,11 +1280,13 @@ class TestUnionGroups:
     the closure's ids, at `bound - 2` the older candidates that add only
     themselves to the closure, and below that every older candidate whose
     union with the closure has `bound - 1` ids; an incomparable pair goes
-    to the layer of its union's size plus one."""
+    to the layer of its union's size plus one.  Each layer is a list of
+    column grids, which `at` decodes at any increasing positions and
+    `compose` composes column by column, as triple by triple."""
 
     @staticmethod
-    def mismatches(monkeypatch, ops, fault=None):
-        made = traced_enumerations(monkeypatch, fault)
+    def mismatches(monkeypatch, ops, fault=None, base=_ENUMERATION):
+        made = traced_enumerations(monkeypatch, fault, base)
         groups = 0
         for sample in union_samples():
             for dedup in DedupMode:
@@ -1215,19 +1294,24 @@ class TestUnionGroups:
                     if dedup == DedupMode.NONE and sample.bound > 4:
                         continue
                     made.clear()
-                    learn(sample, LearnConfig(
-                        operators=SKIP_OPERATORS[ops], bound_mode=mode,
-                        dedup=dedup))
+                    try:
+                        learn(sample, LearnConfig(
+                            operators=GRID_OPERATORS[ops], bound_mode=mode,
+                            dedup=dedup))
+                    except IndexError:  # a grid read outside its columns
+                        yield sample, dedup, mode
+                        continue
                     for enum in made:
-                        if reference_schedule(enum) != (enum.layers,
-                                                        enum.shares):
+                        if (reference_schedule(enum) != (enum.layers,
+                                                         enum.shares)
+                                or next(grid_mismatches(enum), None)):
                             yield sample, dedup, mode
                         unions = [c & ~(1 << i)
                                   for i, c in enumerate(enum.closures)]
                         groups += len(unions) - len(set(unions))
         assert groups
 
-    @pytest.mark.parametrize("ops", sorted(SKIP_OPERATORS))
+    @pytest.mark.parametrize("ops", sorted(GRID_OPERATORS))
     def test_the_schedule_is_the_brute_force_one(self, monkeypatch, ops):
         assert next(self.mismatches(monkeypatch, ops), None) is None
 
@@ -1239,6 +1323,7 @@ class TestUnionGroups:
                 list(enumerate_formulas("pq", bound, logic=logic))
                 (enum,) = made
                 assert reference_schedule(enum) == (enum.layers, enum.shares)
+                assert next(grid_mismatches(enum), None) is None
 
     def test_a_dropped_sibling_fails(self, monkeypatch):
         # Each share two below the bound loses its first partner of its
@@ -1253,6 +1338,20 @@ class TestUnionGroups:
 
         assert next(self.mismatches(monkeypatch, "full", drop_sibling),
                     None) is not None
+
+    @pytest.mark.parametrize("base", [SwappedColumns, WithinGridFirst],
+                             ids=["swapped-columns", "within-grid-first"])
+    def test_a_planted_grid_fault_fails(self, monkeypatch, base):
+        assert next(self.mismatches(monkeypatch, "full", base=base),
+                    None) is not None
+
+    def test_a_swapped_divmod_fails(self, monkeypatch):
+        # `at` takes a position's column for its row and its row for its
+        # column.
+        union_samples()  # drawn by searches without the fault
+        monkeypatch.setattr(learner, "divmod", lambda a, b: divmod(a, b)[::-1],
+                            raising=False)
+        assert next(self.mismatches(monkeypatch, "full"), None) is not None
 
 
 def rotation_sample(alphabet="pq"):
